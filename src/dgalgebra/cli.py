@@ -36,7 +36,7 @@ from .obstruction import (
     decide_nullhomotopic,
     make_decomposition,
 )
-from .parser import element_to_json, format_element, parse_morphism, parse_presentation
+from .parser import element_to_json, parse_morphism, parse_presentation
 from .weights import verify_infinite_family
 
 EXIT_OK = 0
@@ -149,7 +149,7 @@ def cmd_cohomology(args) -> int:
             }
         degrees[str(n)] = entry
         if result.dimension:
-            reps = "; ".join(format_element(r) for r in result.representatives)
+            reps = "; ".join(str(r) for r in result.representatives)
             human.append(f"H^{n}: dim {result.dimension}  [{reps}]")
     data = {"command": "cohomology", "algebra": algebra.label, "degrees": degrees}
     _emit(data, args.json, "\n".join(human) if human else "no cohomology in range")
@@ -331,7 +331,7 @@ def cmd_obstruction(args) -> int:
     }
     human_rows = [
         f"  {w}: degree {c.degree}, {'zero' if c.is_zero() else 'NONZERO'} "
-        f"[{format_element(c.representative)}]"
+        f"[{c.representative}]"
         for w, c in value.classes.items()
     ]
     _emit(data, args.json, "obstruction classes:\n" + "\n".join(human_rows))

@@ -21,8 +21,12 @@ from .linalg import (
 )
 
 
+def _index(basis: List) -> Dict:
+    return {m: i for i, m in enumerate(basis)}
+
+
 def _coords(x: Element, basis: List) -> List[Fraction]:
-    index = {m: i for i, m in enumerate(basis)}
+    index = _index(basis)
     vec = [Fraction(0)] * len(basis)
     for m, c in x.terms.items():
         vec[index[m]] = c
@@ -33,12 +37,25 @@ def _from_coords(algebra: AlgebraPresentation, basis: List, vec) -> Element:
     return algebra.element({m: Fraction(c) for m, c in zip(basis, vec) if c})
 
 
-def differential_matrix(algebra: AlgebraPresentation, n: int) -> RationalMatrix:
+def _basis(algebra: AlgebraPresentation, n: int, allowed=None) -> List:
+    basis = algebra.monomial_basis(n)
+    return basis if allowed is None else [m for m in basis if allowed(m)]
+
+
+def differential_matrix(algebra: AlgebraPresentation, n: int, allowed=None) -> RationalMatrix:
     """Matrix of d restricted to degree n, columns indexed by the degree-n
-    monomial basis and rows by the degree-(n+1) basis."""
-    src = algebra.monomial_basis(n)
-    cols = [_coords(algebra.d(_from_coords(algebra, [m], [1])), algebra.monomial_basis(n + 1)) for m in src]
-    return RationalMatrix.from_columns(cols) if src else RationalMatrix(len(algebra.monomial_basis(n + 1)), 0)
+    monomial basis and rows by the degree-(n+1) basis.
+
+    ``allowed`` restricts both bases to a sub-basis that d must preserve
+    (used for weight splitting).
+    """
+    src = _basis(algebra, n, allowed)
+    index = _index(_basis(algebra, n + 1, allowed))
+    matrix = RationalMatrix(len(index), len(src))
+    for j, m in enumerate(src):
+        for mono, c in algebra.d(algebra.element({m: 1})).terms.items():
+            matrix.entries[index[mono], j] = c
+    return matrix
 
 
 @dataclass
@@ -54,33 +71,17 @@ def _representatives(
 ) -> List[Element]:
     """Canonical cocycle representatives of H^n, optionally restricted to a
     sub-basis (used for weight splitting; d preserves the restriction)."""
-    basis = algebra.monomial_basis(n)
-    if allowed is not None:
-        basis = [m for m in basis if allowed(m)]
+    basis = _basis(algebra, n, allowed)
     if not basis:
         return []
-    upper = algebra.monomial_basis(n + 1)
-    d_cols = [_coords(algebra.d(_from_coords(algebra, [m], [1])), upper) for m in basis]
-    d_matrix = RationalMatrix.from_columns(d_cols)
+    d_matrix = differential_matrix(algebra, n, allowed)
     _, kernel = rref_solve(d_matrix, [0] * d_matrix.rows)
 
-    lower = algebra.monomial_basis(n - 1) if n >= 1 else []
-    if allowed is not None:
-        lower = [m for m in lower if allowed(m)]
-    image_rows = []
-    full_basis_index = {m: i for i, m in enumerate(basis)}
-    for m in lower:
-        img = algebra.d(_from_coords(algebra, [m], [1]))
-        row = [Fraction(0)] * len(basis)
-        ok = True
-        for mono, c in img.terms.items():
-            if mono in full_basis_index:
-                row[full_basis_index[mono]] = c
-            else:
-                ok = False
-                break
-        if ok and any(row):
-            image_rows.append(row)
+    # the image rows are the columns of d in degree n - 1
+    lower = differential_matrix(algebra, n - 1, allowed)
+    image_rows = [[Fraction(0)] * lower.rows for _ in range(lower.cols)]
+    for (i, j), v in lower.entries.items():
+        image_rows[j][i] = v
     image_echelon, image_pivots = row_space_basis(image_rows)
 
     reduced = []
@@ -132,22 +133,19 @@ def class_coordinates(
 ) -> List[Fraction]:
     """Coordinates of the class of cocycle ``x`` in the canonical H^n basis."""
     reps = cohomology_at_degree(target, n).representatives
-    basis = target.monomial_basis(n)
-    columns = [_coords(r, basis) for r in reps]
-    for m in target.monomial_basis(n - 1):
-        img = target.d(target.element({m: Fraction(1)}))
-        col = _coords(img, basis)
-        if any(col):
-            columns.append(col)
-    if not columns:
-        if any(_coords(x, basis)):
-            raise NotACocycle("cocycle outside the computed class space")
-        return []
-    matrix = RationalMatrix.from_columns(columns)
-    sol, _ = rref_solve(matrix, _coords(x, basis))
+    index = _index(target.monomial_basis(n))
+    # columns: the representatives, then d of each degree-(n-1) monomial
+    d_lower = differential_matrix(target, n - 1)
+    k = len(reps)
+    matrix = RationalMatrix(d_lower.rows, k + d_lower.cols)
+    matrix.entries = {(i, j + k): v for (i, j), v in d_lower.entries.items()}
+    for j, r in enumerate(reps):
+        for m, c in r.terms.items():
+            matrix.entries[index[m], j] = c
+    sol, _ = rref_solve(matrix, _coords(x, target.monomial_basis(n)))
     if sol is None:
         raise NotACocycle("element is not a cocycle modulo coboundaries")
-    return sol[: len(reps)]
+    return sol[:k]
 
 
 def induced_map(f: Morphism, n: int):
@@ -199,6 +197,12 @@ def weight_split_cohomology(
     """
     if not algebra.has_weights():
         raise WeightsMissing("all generators need weights for a weight split")
+    for g in algebra.generators:
+        for m in algebra.differential_image(g.name).terms:
+            if monomial_weight(algebra, m) != g.weight:
+                raise WeightsMissing(
+                    f"d({g.name}) is not homogeneous of weight {g.weight}: term {m}"
+                )
     weights = sorted({monomial_weight(algebra, m) for m in algebra.monomial_basis(n)})
     out: Dict[int, List[Element]] = {}
     for w in weights:

@@ -1,16 +1,15 @@
 """Exact linear algebra over Q and integer lattice tools.
 
-Everything here is deterministic: row reduction pivots on the first nonzero
-entry in column order (exact arithmetic needs no numerical pivoting), so
-kernels, particular solutions and canonical witnesses are reproducible
-across runs and platforms.
+Everything here is deterministic: elimination always ends in the reduced row
+echelon form, which is unique, so kernels, particular solutions and
+canonical witnesses are reproducible across runs and platforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -46,18 +45,6 @@ class RationalMatrix:
             if len(row) != c:
                 raise DimensionMismatch("ragged rows")
             for j, v in enumerate(row):
-                v = Fraction(v)
-                if v:
-                    m.entries[(i, j)] = v
-        return m
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence]) -> "RationalMatrix":
-        c = len(cols)
-        r = len(cols[0]) if cols else 0
-        m = cls(r, c)
-        for j, col in enumerate(cols):
-            for i, v in enumerate(col):
                 v = Fraction(v)
                 if v:
                     m.entries[(i, j)] = v
@@ -99,39 +86,63 @@ class RationalMatrix:
         return f"<RationalMatrix {self.rows}x{self.cols}, {len(self.entries)} entries>"
 
 
-def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if rows[i][c]:
-                pivot_row = i
+def _sparse_rows(matrix: RationalMatrix) -> List[Dict[int, Fraction]]:
+    rows: List[Dict[int, Fraction]] = [{} for _ in range(matrix.rows)]
+    for (i, j), v in matrix.entries.items():
+        rows[i][j] = v
+    return rows
+
+
+def _dense(row: Dict[int, Fraction], n: int) -> List[Fraction]:
+    out = [Fraction(0)] * n
+    for j, v in row.items():
+        out[j] = v
+    return out
+
+
+def _rref(rows: List[Dict[int, Fraction]]) -> Tuple[List[Dict[int, Fraction]], List[int]]:
+    """Reduced row echelon form of sparse rows ``{column: nonzero value}``.
+
+    Returns the nonzero rows, scaled to pivot 1 and ordered by pivot column,
+    with their pivot columns.  The input rows are consumed.  Each row is
+    first reduced at its leading column only, shortest rows first to limit
+    fill-in; back substitution then clears the other pivot columns.  The
+    reduced echelon form of a row space is unique, so the result does not
+    depend on this order.
+    """
+    by_pivot: Dict[int, Dict[int, Fraction]] = {}
+    for row in sorted(rows, key=len):
+        while row:
+            p = min(row)
+            pivot_row = by_pivot.get(p)
+            if pivot_row is None:
+                pv = row[p]
+                by_pivot[p] = row if pv == 1 else {j: v / pv for j, v in row.items()}
                 break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [v / pv for v in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots
+            _subtract(row, row[p], pivot_row)
+    pivots = sorted(by_pivot)
+    for p in reversed(pivots):
+        row = by_pivot[p]
+        for q in [j for j in row if j != p and j in by_pivot]:
+            _subtract(row, row[q], by_pivot[q])
+    return [by_pivot[p] for p in pivots], pivots
+
+
+def _subtract(row: Dict[int, Fraction], f: Fraction, other: Dict[int, Fraction]):
+    """``row -= f * other`` in place, dropping entries that cancel."""
+    for j, v in other.items():
+        x = row.get(j, 0) - f * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
 def rref(matrix: RationalMatrix) -> Tuple[RationalMatrix, List[int]]:
-    rows, pivots = _rref(matrix.dense_rows())
-    return RationalMatrix.from_rows(rows) if rows else RationalMatrix(0, matrix.cols), pivots
+    rows, pivots = _rref(_sparse_rows(matrix))
+    out = RationalMatrix(matrix.rows, matrix.cols)
+    out.entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
+    return out, pivots
 
 
 def rref_solve(
@@ -139,7 +150,7 @@ def rref_solve(
 ) -> Tuple[Optional[List[Fraction]], List[List[Fraction]]]:
     """Solve ``A x = b`` exactly.
 
-    Returns ``(particular, kernel_basis)``; ``particular`` is None when b is
+    Returns ``(particular, kernel)``; ``particular`` is None when b is
     outside the column space.  The particular solution sets all free
     variables to zero, which makes witnesses canonical.
     """
@@ -147,55 +158,52 @@ def rref_solve(
     if len(b) != matrix.rows:
         raise DimensionMismatch("right-hand side has wrong length")
     n = matrix.cols
-    aug = matrix.dense_rows()
-    for i, row in enumerate(aug):
-        row.append(b[i])
-    if not aug:
-        aug = []
-    rows, pivots = _rref(aug) if aug else ([], [])
+    aug = _sparse_rows(matrix)
+    for row, v in zip(aug, b):
+        if v:
+            row[n] = v
+    rows, pivots = _rref(aug)
 
-    particular: Optional[List[Fraction]] = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        if c == n:  # pivot in the augmented column: inconsistent
-            particular = None
-            break
-        particular[c] = rows[r][n]
-    if not aug and any(b):
-        particular = None
+    particular: Optional[List[Fraction]] = None
+    if n not in pivots:  # else a pivot in the augmented column: inconsistent
+        particular = [Fraction(0)] * n
+        for row, c in zip(rows, pivots):
+            particular[c] = row.get(n, Fraction(0))
 
-    pivot_cols = [c for c in pivots if c < n]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    kernel = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, c in enumerate(pivot_cols):
-            vec[c] = -rows[r][fc]
-        kernel.append(vec)
+    pivot_set = set(pivots)
+    free = {c: k for k, c in enumerate(c for c in range(n) if c not in pivot_set)}
+    kernel = [[Fraction(0)] * n for _ in free]
+    for c, k in free.items():
+        kernel[k][c] = Fraction(1)
+    for row, c in zip(rows, pivots):
+        for j, v in row.items():
+            k = free.get(j)
+            if k is not None:
+                kernel[k][c] = -v
     return particular, kernel
-
-
-def kernel_basis(matrix: RationalMatrix) -> List[List[Fraction]]:
-    return rref_solve(matrix, [0] * matrix.rows)[1]
 
 
 def row_space_basis(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
     """Independent spanning rows in reduced echelon form, with their pivots."""
     if not rows:
         return [], []
-    reduced, pivots = _rref([list(r) for r in rows])
-    return [reduced[i] for i in range(len(pivots))], pivots
+    n = len(rows[0])
+    reduced, pivots = _rref([{j: Fraction(v) for j, v in enumerate(r) if v} for r in rows])
+    return [_dense(row, n) for row in reduced], pivots
 
 
 def reduce_mod_rows(
     vec: Sequence[Fraction], rows: List[List[Fraction]], pivots: List[int]
 ) -> List[Fraction]:
-    """Reduce ``vec`` modulo the row space of an echelon basis."""
-    v = [Fraction(x) for x in vec]
+    """Reduce ``vec`` (of ints or Fractions) modulo the row space of an
+    echelon basis; only nonzero entries of the basis rows are subtracted."""
+    v = list(vec)
     for row, p in zip(rows, pivots):
-        if v[p]:
-            f = v[p]
-            v = [a - f * b for a, b in zip(v, row)]
+        f = v[p]
+        if f:
+            for j, b in enumerate(row):
+                if b:
+                    v[j] -= f * b
     return v
 
 

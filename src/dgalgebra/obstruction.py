@@ -23,7 +23,7 @@ exact and machine-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraPresentation, Element, Morphism
 from .cohomology import CohomologyClass, induced_map
@@ -322,6 +322,45 @@ class NullhomotopyResult:
     failure: Optional[NullhomotopyFailure] = None
 
 
+def _extend_by_stages(
+    f: Morphism, g: Morphism, filtration: Filtration
+) -> Tuple[Optional[Homotopy], Optional[Tuple[int, Homotopy, ObstructionValue]]]:
+    """Extend a homotopy from f to g one filtration stage at a time, using
+    the canonical coboundary witnesses; stops at the first obstructed stage.
+
+    Returns ``(homotopy, None)`` when every stage extends, otherwise
+    ``(None, (stage, homotopy below the stage, obstruction at the stage))``.
+    """
+    source = f.source
+    processed: List[str] = []
+    bars: Dict[str, Element] = {}
+    for s in filtration.stage_values():
+        new = filtration.names_at(s)
+        sub_prev = source.subalgebra(processed)
+        sub_cur = source.subalgebra(processed + new)
+        h_prev = Homotopy(
+            build_cylinder(sub_prev),
+            f.restrict(sub_prev),
+            {n: bars[n] for n in processed},
+        )
+        decomposition = make_decomposition(sub_cur, "explicit", v1=new)
+        try:
+            extended = extend_to_homotopy(
+                f.restrict(sub_cur), g.restrict(sub_cur), h_prev, decomposition
+            )
+        except Obstructed as e:
+            return None, (s, h_prev, e.value)
+        for n in new:
+            bars[n] = extended.bar_images[n]
+        processed.extend(new)
+    full = Homotopy(build_cylinder(source), f, bars)
+    end = full.end()
+    for name in source.generator_names():
+        if end.images[name] != g.images[name]:
+            raise PreconditionViolated("internal inconsistency: stage-wise homotopy end mismatch")
+    return full, None
+
+
 def decide_nullhomotopic(f: Morphism, filtration: Filtration) -> NullhomotopyResult:
     """Decide whether f is homotopic to the zero map; sound and complete for
     finite presentations.
@@ -339,54 +378,32 @@ def decide_nullhomotopic(f: Morphism, filtration: Filtration) -> NullhomotopyRes
     if not f.verified:
         raise PreconditionViolated("decide_nullhomotopic needs a chain map")
     target = f.target
-    processed: List[str] = []
-    bars: Dict[str, Element] = {}
-    for s in filtration.stage_values():
-        new = filtration.names_at(s)
-        sub_prev = f.source.subalgebra(processed)
-        sub_cur = f.source.subalgebra(processed + new)
-        h_prev = Homotopy(
-            build_cylinder(sub_prev),
-            f.restrict(sub_prev),
-            {n: bars[n] for n in processed},
-        )
-        decomposition = make_decomposition(sub_cur, "explicit", v1=new)
-        f_cur = f.restrict(sub_cur)
-        zero_cur = Morphism.zero_map(sub_cur, target)
-        try:
-            extended = extend_to_homotopy(f_cur, zero_cur, h_prev, decomposition)
-        except Obstructed as e:
-            full_h = extend_homotopy_cofibration(f, h_prev)
-            f_prime = full_h.end()
-            for w in new:
-                # the pushed map's value on w is literally the obstruction
-                # representative computed against the partial homotopy
-                if f_prime.images[w] != e.value.classes[w].representative:
-                    raise PreconditionViolated(
-                        "internal inconsistency: pushed map disagrees with obstruction"
-                    )
-            classes = {
-                w: CohomologyClass(target, f.source.degree_of(w), f_prime.images[w])
-                for w in new
-            }
-            obstruction = ObstructionValue(decomposition, target, classes)
-            if obstruction.is_zero():
-                raise PreconditionViolated(
-                    "internal inconsistency: pushed obstruction vanished"
-                )
-            return NullhomotopyResult(
-                False,
-                failure=NullhomotopyFailure(s, f_prime, obstruction),
+    full, failure = _extend_by_stages(f, Morphism.zero_map(f.source, target), filtration)
+    if failure is None:
+        return NullhomotopyResult(True, homotopy=full)
+    stage, h_prev, value = failure
+    new = filtration.names_at(stage)
+    f_prime = extend_homotopy_cofibration(f, h_prev).end()
+    for w in new:
+        # the pushed map's value on w is literally the obstruction
+        # representative computed against the partial homotopy
+        if f_prime.images[w] != value.classes[w].representative:
+            raise PreconditionViolated(
+                "internal inconsistency: pushed map disagrees with obstruction"
             )
-        for n in new:
-            bars[n] = extended.bar_images[n]
-        processed.extend(new)
-    full = Homotopy(build_cylinder(f.source), f, bars)
-    end = full.end()
-    for name in f.source.generator_names():
-        if not end.images[name].is_zero():
-            raise PreconditionViolated("internal inconsistency: nullhomotopy end != 0")
-    return NullhomotopyResult(True, homotopy=full)
+    classes = {
+        w: CohomologyClass(target, f.source.degree_of(w), f_prime.images[w])
+        for w in new
+    }
+    obstruction = ObstructionValue(value.decomposition, target, classes)
+    if obstruction.is_zero():
+        raise PreconditionViolated(
+            "internal inconsistency: pushed obstruction vanished"
+        )
+    return NullhomotopyResult(
+        False,
+        failure=NullhomotopyFailure(stage, f_prime, obstruction),
+    )
 
 
 # -- the general two-map pipeline --------------------------------------------------
@@ -489,37 +506,15 @@ def decide_homotopic(
 
     filtration = filtration or Filtration.by_degree(source)
     filtration.validate()
-    processed: List[str] = []
-    bars: Dict[str, Element] = {}
-    for s in filtration.stage_values():
-        new = filtration.names_at(s)
-        sub_prev = source.subalgebra(processed)
-        sub_cur = source.subalgebra(processed + new)
-        h_prev = Homotopy(
-            build_cylinder(sub_prev),
-            f.restrict(sub_prev),
-            {n: bars[n] for n in processed},
+    full, failure = _extend_by_stages(f, g, filtration)
+    if failure is not None:
+        stage, _, value = failure
+        return HomotopyDecision(
+            "undetermined",
+            certificate={"kind": "stage-obstructed", "stage": stage, "obstruction": value},
+            detail=(
+                f"stage {stage} obstructed for the canonical witness choices; "
+                "later-stage obstructions depend on those choices, so this is not a refutation"
+            ),
         )
-        decomposition = make_decomposition(sub_cur, "explicit", v1=new)
-        try:
-            extended = extend_to_homotopy(
-                f.restrict(sub_cur), g.restrict(sub_cur), h_prev, decomposition
-            )
-        except Obstructed as e:
-            return HomotopyDecision(
-                "undetermined",
-                certificate={"kind": "stage-obstructed", "stage": s, "obstruction": e.value},
-                detail=(
-                    f"stage {s} obstructed for the canonical witness choices; "
-                    "later-stage obstructions depend on those choices, so this is not a refutation"
-                ),
-            )
-        for n in new:
-            bars[n] = extended.bar_images[n]
-        processed.extend(new)
-    full = Homotopy(build_cylinder(source), f, bars)
-    end = full.end()
-    for name in source.generator_names():
-        if end.images[name] != g.images[name]:
-            raise PreconditionViolated("internal inconsistency: search end mismatch")
     return HomotopyDecision("yes", homotopy=full, detail="stage-wise witness search")

@@ -438,28 +438,6 @@ def parse_morphism(
 # -- printing -------------------------------------------------------------------
 
 
-def format_coefficient(c: Fraction) -> str:
-    return str(c)
-
-
-def format_element(x: Element) -> str:
-    if x.is_zero():
-        return "0"
-    parts = []
-    for m, c in x.sorted_terms():
-        if m.is_unit():
-            body = format_coefficient(abs(c))
-        elif abs(c) == 1:
-            body = str(m)
-        else:
-            body = f"{format_coefficient(abs(c))}*{m}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
-
-
 def print_presentation(algebra: AlgebraPresentation) -> str:
     """Canonical text form; parsing it back reproduces the presentation."""
     lines = []
@@ -473,7 +451,7 @@ def print_presentation(algebra: AlgebraPresentation) -> str:
             opts += f" stage {g.stage}"
         lines.append(f"generator {g.name} : {g.degree}{opts}")
     for g in algebra.generators:
-        lines.append(f"d {g.name} = {format_element(algebra.differential_image(g.name))}")
+        lines.append(f"d {g.name} = {algebra.differential_image(g.name)}")
     return "\n".join(lines) + "\n"
 
 
@@ -482,7 +460,7 @@ def print_morphism(f: Morphism, name: str = "f") -> str:
         f"morphism {name} : {f.source.label or 'source'} -> {f.target.label or 'target'}"
     ]
     for g in f.source.generators:
-        lines.append(f"{g.name} = {format_element(f.images[g.name])}")
+        lines.append(f"{g.name} = {f.images[g.name]}")
     return "\n".join(lines) + "\n"
 
 

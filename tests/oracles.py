@@ -168,3 +168,76 @@ def nullhomotopy_by_bar_search(f, filtration, offsets=None):
             )
         processed.extend(names)
     return True, bars
+
+
+# -- the dense elimination the library used before sparse rows ------------------
+#
+# Reduced row echelon form is unique, so the library's sparse elimination must
+# reproduce these answers exactly, not merely valid ones.
+
+
+def dense_rref(rows):
+    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+    if not rows:
+        return rows, []
+    n_rows, n_cols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = None
+        for i in range(r, n_rows):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        if pv != 1:
+            rows[r] = [v / pv for v in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return rows, pivots
+
+
+def dense_rref_solve(rows, n_cols, b):
+    """``(particular, kernel)`` of ``A x = b`` with free variables set to zero."""
+    aug = [[Fraction(v) for v in row] + [Fraction(v)] for row, v in zip(rows, b)]
+    reduced, pivots = dense_rref(aug)
+    particular = [Fraction(0)] * n_cols
+    for r, c in enumerate(pivots):
+        if c == n_cols:
+            particular = None
+            break
+        particular[c] = reduced[r][n_cols]
+    pivot_cols = [c for c in pivots if c < n_cols]
+    kernel = []
+    for fc in (c for c in range(n_cols) if c not in pivot_cols):
+        vec = [Fraction(0)] * n_cols
+        vec[fc] = Fraction(1)
+        for r, c in enumerate(pivot_cols):
+            vec[c] = -reduced[r][fc]
+        kernel.append(vec)
+    return particular, kernel
+
+
+def dense_row_space_basis(rows):
+    if not rows:
+        return [], []
+    reduced, pivots = dense_rref([[Fraction(v) for v in row] for row in rows])
+    return reduced[: len(pivots)], pivots
+
+
+def dense_reduce_mod_rows(vec, rows, pivots):
+    v = [Fraction(x) for x in vec]
+    for row, p in zip(rows, pivots):
+        if v[p]:
+            f = v[p]
+            v = [a - f * b for a, b in zip(v, row)]
+    return v

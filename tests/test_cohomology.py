@@ -16,7 +16,7 @@ from dgalgebra import (
     weight_split_cohomology,
 )
 from dgalgebra.cohomology import differential_matrix
-from dgalgebra.parser import parse_morphism
+from dgalgebra.parser import parse_morphism, parse_presentation
 from dgalgebra import corpus
 from oracles import dense_rank
 
@@ -117,6 +117,17 @@ def test_weight_split_dimensions_add(two_stage):
                     for m in rep.terms
                 }
                 assert weights == {n + i}
+
+
+def test_weight_split_rejects_weight_inhomogeneous_differential():
+    # d v = u^2 has weight 2, not the weight 5 of v, so the weights do not
+    # split the cochain complex; a split would report a class H^4 lacks
+    A = parse_presentation(
+        "generator u : 2 weight 1\ngenerator v : 3 weight 5\nd v = u^2\n"
+    ).presentation
+    assert cohomology_at_degree(A, 4).dimension == 0
+    with pytest.raises(WeightsMissing):
+        weight_split_cohomology(A, 4)
 
 
 def test_weight_split_requires_weights(ex51):

@@ -15,7 +15,16 @@ from dgalgebra import (
     smith_form,
     solve_multiplicative_system,
 )
-from oracles import brute_multiplicative_solutions, dense_solve, int_det, mat_mul
+from dgalgebra.linalg import reduce_mod_rows, row_space_basis
+from oracles import (
+    brute_multiplicative_solutions,
+    dense_reduce_mod_rows,
+    dense_row_space_basis,
+    dense_rref_solve,
+    dense_solve,
+    int_det,
+    mat_mul,
+)
 
 
 def test_identity_solve():
@@ -69,6 +78,38 @@ def test_rref_solve_against_dense_oracle(rows, data):
     from oracles import dense_rank
 
     assert len(kernel) == n_cols - dense_rank(rows)
+
+
+# mostly zeros, so that zero rows, zero columns and rank deficiency are common
+sparse_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+)
+
+
+@st.composite
+def shaped_systems(draw):
+    """``(rows, n_cols, b, vec)`` for any shape up to 5 x 7, empty ones included."""
+    n_rows = draw(st.integers(min_value=0, max_value=5))
+    n_cols = draw(st.integers(min_value=0, max_value=7))
+    rows = [draw(st.lists(sparse_entries, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+    b = draw(st.lists(sparse_entries, min_size=n_rows, max_size=n_rows))
+    vec = draw(st.lists(sparse_entries, min_size=n_cols, max_size=n_cols))
+    return rows, n_cols, b, vec
+
+
+@given(shaped_systems())
+@settings(max_examples=300)
+def test_elimination_matches_dense_reference_exactly(system):
+    rows, n_cols, b, vec = system
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
+    matrix = RationalMatrix(len(rows), n_cols, entries)
+    assert rref_solve(matrix, b) == dense_rref_solve(rows, n_cols, b)
+
+    basis, pivots = row_space_basis(rows)
+    assert (basis, pivots) == dense_row_space_basis(rows)
+    assert reduce_mod_rows(vec, basis, pivots) == dense_reduce_mod_rows(vec, basis, pivots)
 
 
 def _check_smith(m):

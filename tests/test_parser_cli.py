@@ -471,6 +471,17 @@ def test_cli_precondition_exit_code_for_missing_weights():
     assert code == 4
 
 
+def test_cli_weights_need_weight_homogeneous_differential(tmp_path):
+    bad = tmp_path / "bad.dga"
+    bad.write_text("algebra bad\ngenerator u : 2 weight 1\ngenerator v : 3 weight 5\nd v = u^2\n")
+    code, out, err = run_cli(
+        "cohomology", str(bad), "--max-degree", "4", "--weights", "--json"
+    )
+    assert code == 4
+    assert out == ""
+    assert "weight 5" in err
+
+
 def test_cli_stage_filtration(tmp_path):
     fmap = tmp_path / "null.map"
     fmap.write_text("morphism z : two_stage -> two_stage\nu = 0\nv = 0\n")
