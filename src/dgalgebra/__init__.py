@@ -9,12 +9,8 @@ from .algebra import (
     Generator,
     Monomial,
     Morphism,
-    apply_morphism,
-    check_chain_map,
     compose,
     extend_derivation,
-    monomial_basis,
-    mul,
     normalize_monomial,
     validate_presentation,
 )
@@ -42,9 +38,7 @@ from .cohomology import (
 from .cylinder import (
     CylinderAlgebra,
     Homotopy,
-    alpha,
     build_cylinder,
-    end_map,
     extend_homotopy_cofibration,
 )
 from .errors import (

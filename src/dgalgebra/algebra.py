@@ -14,14 +14,25 @@ Conventions fixed by this module and relied on everywhere else:
   ``theta(a*b) = theta(a)*b + (-1)**(e*|a|) * a*theta(b)``;
   the differential is the parity-1 instance.
 
+Every sum, Koszul product, power, derivation and multiplicative extension
+of generator images on term dicts ``{Monomial: coefficient}`` goes through
+one kernel, the private ``_add_terms``, ``_mul_terms``, ``_power``,
+``_derive_terms`` and ``_extend_terms`` below.  It uses only ``+``, ``*``
+(also by an ``int``), unary ``-`` and truthiness of the coefficients, so
+``Element``, ``Morphism`` and the cylinder's ``alpha`` (``Fraction``
+coefficients) share it with ``symbolic.SymbolicElement`` and the generic
+ansatz (``symbolic.Poly`` coefficients); ``Poly`` reuses its sum and power.
+
 Values are immutable once built: presentations, elements and morphisms can
 be shared freely between threads.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -284,11 +295,7 @@ class AlgebraPresentation:
         return Element(self, {Monomial(((name, 1),), g.degree): Fraction(1)})
 
     def element(self, terms: Mapping[Monomial, Fraction]) -> "Element":
-        clean = {}
-        for m, c in terms.items():
-            c = _as_fraction(c)
-            if c:
-                clean[m] = clean.get(m, Fraction(0)) + c
+        clean = {m: _as_fraction(c) for m, c in terms.items()}
         return Element(self, {m: c for m, c in clean.items() if c})
 
     def monomial_element(self, raw_factors, coefficient=1) -> "Element":
@@ -386,12 +393,6 @@ class AlgebraPresentation:
         self._sub_cache[key] = sub
         return sub
 
-    def contains_names(self, x: "Element", names) -> bool:
-        allowed = set(names)
-        return all(
-            all(n in allowed for n in m.generator_names()) for m in x.terms
-        )
-
 
 def transfer_element(x: "Element", target: AlgebraPresentation) -> "Element":
     """Reinterpret ``x`` in ``target``, matching generators by name.
@@ -469,14 +470,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check_same(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return Element(self.algebra, terms)
+        return Element(self.algebra, _add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -502,19 +496,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check_same(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                sign, mono = normalize_monomial(self.algebra, m1.factors + m2.factors)
-                if sign == 0:
-                    continue
-                c = c1 * c2 * sign
-                s = out.get(mono, Fraction(0)) + c
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return Element(self.algebra, out)
+        return Element(self.algebra, _mul_terms(self.algebra, self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, Scalar):
@@ -530,12 +512,7 @@ class Element:
         return NotImplemented
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = self.algebra.one()
-        for _ in range(k):
-            result = result * self
-        return result
+        return _power(operator.mul, self, k, self.algebra.one())
 
     # -- comparison -------------------------------------------------------------
 
@@ -630,48 +607,115 @@ def extend_derivation(
         for name, img in images.items():
             if img.is_zero():
                 continue
+            if img.algebra is not algebra and img.algebra != algebra:
+                raise PresentationMismatch(f"image of {name} is not in this presentation")
             want = algebra.degree_of(name) + parity
             if not img.is_homogeneous(want):
                 raise DegreeMismatch(
                     f"image of {name} is not homogeneous of degree {want}"
                 )
-    p = parity % 2
-    result = algebra.zero()
-    for m, c in x.terms.items():
+    terms = {n: img.terms for n, img in images.items()}
+    return Element(algebra, _derive_terms(algebra, terms, parity, x.terms))
+
+
+# -- the term kernel -------------------------------------------------------------
+
+
+def _add_term(out: dict, m, c) -> None:
+    """Add the nonzero coefficient ``c`` at key ``m`` of ``out``, in place."""
+    s = out[m] + c if m in out else c
+    if s:
+        out[m] = s
+    else:
+        del out[m]
+
+
+def _add_terms(a: dict, b: dict) -> dict:
+    """The sum of two term dicts (any hashable keys, e.g. Poly power products)."""
+    out = dict(a)
+    for m, c in b.items():
+        _add_term(out, m, c)
+    return out
+
+
+def _mul_terms(algebra: AlgebraPresentation, a: dict, b: dict) -> dict:
+    """The product of two term dicts: one Koszul normalisation per pair."""
+    out = {}
+    for m1, c1 in a.items():
+        f1 = m1.factors
+        for m2, c2 in b.items():
+            sign, mono = normalize_monomial(algebra, f1 + m2.factors)
+            if sign:
+                c = c1 * c2
+                _add_term(out, mono, c if sign > 0 else -c)
+    return out
+
+
+def _power(mul: Callable, x, k: int, one):
+    """``x**k`` as ``x * x * ... * x`` under the associative product ``mul``."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    if k == 0:
+        return one
+    out = x
+    for _ in range(k - 1):
+        out = mul(out, x)
+    return out
+
+
+def _derive_terms(
+    algebra: AlgebraPresentation, images: Mapping[str, dict], parity: int, terms: dict
+) -> dict:
+    """Apply the derivation of the given parity with generator images
+    ``images`` (term dicts; missing generators go to zero) to ``terms``.
+
+    Each term of ``theta(g)`` is spliced into the monomial in place of one
+    copy of ``g`` and normalised once.
+    """
+    odd = parity % 2
+    by_name = algebra._by_name
+    out = {}
+    for m, c in terms.items():
+        factors = m.factors
         prefix_degree = 0
-        for idx, (name, exp) in enumerate(m.factors):
-            g_img = images.get(name)
-            if g_img is not None and not g_img.is_zero():
+        for idx, (name, exp) in enumerate(factors):
+            img = images.get(name)
+            if img:
                 # theta hits one copy of this factor; for even generators all
                 # exp copies contribute identically (moving theta(g) past an
                 # even g costs nothing), hence the factor exp.
-                left_factors = m.factors[:idx]
-                if exp > 1:
-                    left_factors = left_factors + ((name, exp - 1),)
-                right_factors = m.factors[idx + 1 :]
-                sign = -1 if (p * prefix_degree) % 2 else 1
-                left = Element(
-                    algebra,
-                    {
-                        Monomial(
-                            left_factors,
-                            sum(algebra.degree_of(n) * e for n, e in left_factors),
-                        ): Fraction(1)
-                    },
-                )
-                right = Element(
-                    algebra,
-                    {
-                        Monomial(
-                            right_factors,
-                            sum(algebra.degree_of(n) * e for n, e in right_factors),
-                        ): Fraction(1)
-                    },
-                )
-                term = left * g_img * right
-                result = result + term * (c * exp * sign)
-            prefix_degree += algebra.degree_of(name) * exp
-    return result
+                left = factors[:idx] + ((name, exp - 1),) if exp > 1 else factors[:idx]
+                right = factors[idx + 1 :]
+                k = c * exp
+                if odd and prefix_degree % 2:
+                    k = -k
+                for m2, c2 in img.items():
+                    sign, mono = normalize_monomial(algebra, left + m2.factors + right)
+                    if sign:
+                        t = k * c2
+                        _add_term(out, mono, t if sign > 0 else -t)
+            prefix_degree += by_name[name].degree * exp
+    return out
+
+
+def _extend_terms(
+    algebra: AlgebraPresentation, image: Callable[[str], dict], terms: dict, one
+) -> dict:
+    """Apply the algebra map sending each generator ``g`` to the term dict
+    ``image(g)`` of ``algebra`` to ``terms``; ``one`` is the unit of the
+    images' coefficients."""
+    unit = {UNIT_MONOMIAL: one}
+    mul = partial(_mul_terms, algebra)
+    out = {}
+    for m, c in terms.items():
+        term = {UNIT_MONOMIAL: one * c}
+        for name, exp in m.factors:
+            term = mul(term, _power(mul, image(name), exp, unit))
+            if not term:
+                break
+        for mm, cc in term.items():
+            _add_term(out, mm, cc)
+    return out
 
 
 # -- validation ----------------------------------------------------------------
@@ -794,15 +838,8 @@ class Morphism:
     def apply(self, x: Element) -> Element:
         if x.algebra is not self.source and x.algebra != self.source:
             raise PresentationMismatch("element is not in the source")
-        out = self.target.zero()
-        for m, c in x.terms.items():
-            term = self.target.scalar(c)
-            for name, exp in m.factors:
-                term = term * (self.images[name] ** exp)
-                if term.is_zero():
-                    break
-            out = out + term
-        return out
+        terms = _extend_terms(self.target, lambda n: self.images[n].terms, x.terms, Fraction(1))
+        return Element(self.target, terms)
 
     __call__ = apply
 
@@ -850,10 +887,6 @@ class Morphism:
         return f"<morphism {ims}>"
 
 
-def apply_morphism(f: Morphism, x: Element) -> Element:
-    return f.apply(x)
-
-
 def compose(f: Morphism, g: Morphism) -> Morphism:
     """The composite ``f . g`` (apply ``g`` first)."""
     if g.target != f.source:
@@ -861,15 +894,3 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     return Morphism(
         g.source, f.target, {name: f.apply(img) for name, img in g.images.items()}
     )
-
-
-def check_chain_map(f: Morphism) -> list:
-    return f.chain_report()
-
-
-def mul(a: Element, b: Element) -> Element:
-    return a * b
-
-
-def monomial_basis(algebra: AlgebraPresentation, n: int) -> list:
-    return algebra.monomial_basis(n)

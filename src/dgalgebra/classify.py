@@ -17,14 +17,16 @@ separates representatives with the homotopy deciders.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraPresentation, Element, Monomial, Morphism, compose
+from .algebra import AlgebraPresentation, Element, Monomial, Morphism, _extend_terms, compose
 from .cohomology import induced_map_is_isomorphism, is_coboundary
 from .errors import (
     ClassificationIncomplete,
+    InvalidDecomposition,
     PreconditionViolated,
     UnsolvableSystem,
     UnsupportedShape,
@@ -57,15 +59,9 @@ class UnknownMorphism:
         return sorted(vars_)[0] if vars_ else None
 
     def apply(self, x: Element) -> SymbolicElement:
-        out = SymbolicElement.zero(self.target)
-        for m, c in x.terms.items():
-            term = SymbolicElement.from_element(self.target.scalar(c))
-            for name, exp in m.factors:
-                term = term * (self.images[name] ** exp)
-                if not term.terms:
-                    break
-            out = out + term
-        return out
+        one = Poly.constant(1)
+        terms = _extend_terms(self.target, lambda n: self.images[n].terms, x.terms, one)
+        return SymbolicElement(self.target, terms)
 
     def evaluate(self, values: Dict[str, Fraction]) -> Morphism:
         return Morphism(
@@ -115,23 +111,16 @@ def _normalize_poly(p: Poly) -> Poly:
         return p
     denom_lcm = 1
     for c in p.terms.values():
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+        denom_lcm = math.lcm(denom_lcm, c.denominator)
     scaled = {pp: c * denom_lcm for pp, c in p.terms.items()}
     num_gcd = 0
     for c in scaled.values():
-        num_gcd = _gcd(num_gcd, abs(c.numerator))
+        num_gcd = math.gcd(num_gcd, c.numerator)
     lead = min(scaled)
     sign = 1 if scaled[lead] > 0 else -1
     out = Poly()
     out.terms = {pp: Fraction(sign * c.numerator // num_gcd) for pp, c in scaled.items()}
     return out
-
-
-def _gcd(a, b):
-    a, b = int(a), int(b)
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 0
 
 
 def constraint_system(ansatz: UnknownMorphism) -> ConstraintSystem:
@@ -486,7 +475,7 @@ def _family_collapses(family: SolutionFamily) -> Tuple[str, Optional[dict]]:
             param_gens.append(g.name)
     try:
         decomposition = make_decomposition(source, "explicit", v1=param_gens)
-    except Exception:
+    except InvalidDecomposition:
         return "unknown", {"reason": "parameter generators do not split off"}
 
     rep = family.representative()

@@ -53,15 +53,15 @@ class CliFailure(Exception):
 
 
 def _read_file(path: str) -> str:
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    base = os.path.basename(path)
     try:
+        if os.path.exists(path):
+            with open(path, "r", encoding="utf-8") as fh:
+                return fh.read()
+        base = os.path.basename(path)
         if base in corpus.names():
             return corpus.read(base)
-    except Exception:
-        pass
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliFailure(EXIT_PARSE, f"cannot read {path}: {exc}") from None
     raise CliFailure(EXIT_PARSE, f"cannot read {path}")
 
 

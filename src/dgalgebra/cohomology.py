@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraPresentation, Element, Morphism
-from .errors import NotACocycle, WeightsMissing
+from .errors import NotACocycle, PreconditionViolated, WeightsMissing
 from .linalg import (
     RationalMatrix,
     reduce_mod_rows,
@@ -124,7 +124,8 @@ def is_coboundary(algebra: AlgebraPresentation, z: Element) -> Optional[Element]
     if particular is None:
         return None
     witness = _from_coords(algebra, lower, particular)
-    assert algebra.d(witness) == z
+    if algebra.d(witness) != z:
+        raise PreconditionViolated("internal inconsistency: coboundary witness does not bound")
     return witness
 
 

@@ -21,6 +21,7 @@ drops and the series is finite on every monomial.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, Mapping
 
 from .algebra import (
@@ -28,6 +29,7 @@ from .algebra import (
     Element,
     Generator,
     Morphism,
+    _extend_terms,
     extend_derivation,
     transfer_element,
 )
@@ -113,15 +115,9 @@ class CylinderAlgebra:
         """
         if x.algebra is not self.total:
             raise PresentationMismatch("element is not in this cylinder")
-        out = self.total.zero()
-        for m, c in x.terms.items():
-            term = self.total.scalar(c)
-            for name, exp in m.factors:
-                term = term * (self._alpha_generator(name) ** exp)
-                if term.is_zero():
-                    break
-            out = out + term
-        return out
+        alpha = self._alpha_generator
+        terms = _extend_terms(self.total, lambda n: alpha(n).terms, x.terms, Fraction(1))
+        return Element(self.total, terms)
 
     def _alpha_generator(self, name: str) -> Element:
         cached = self._alpha_gen.get(name)
@@ -155,10 +151,6 @@ def build_cylinder(algebra: AlgebraPresentation) -> CylinderAlgebra:
     if algebra._cylinder is None:
         algebra._cylinder = CylinderAlgebra(algebra)
     return algebra._cylinder
-
-
-def alpha(cylinder: CylinderAlgebra, x: Element) -> Element:
-    return cylinder.alpha(x)
 
 
 class Homotopy:
@@ -239,10 +231,6 @@ class Homotopy:
         return cls(build_cylinder(f.source), f, {})
 
 
-def end_map(h: Homotopy) -> Morphism:
-    return h.end()
-
-
 def extend_homotopy_cofibration(f: Morphism, h: Homotopy) -> Homotopy:
     """Extend a homotopy along the inclusion of its base into f's source.
 
@@ -260,7 +248,7 @@ def extend_homotopy_cofibration(f: Morphism, h: Homotopy) -> Homotopy:
         source.generator(name)
         img_sub = base.differential_image(name)
         img_full = source.differential_image(name)
-        if not _same_terms(img_sub, img_full):
+        if img_sub.terms != img_full.terms:
             raise NotACofibration(f"d({name}) differs between base and extension")
         for m in img_full.terms:
             for n in m.generator_names():
@@ -273,7 +261,3 @@ def extend_homotopy_cofibration(f: Morphism, h: Homotopy) -> Homotopy:
             )
     bars = dict(h.bar_images)
     return Homotopy(build_cylinder(source), f, bars)
-
-
-def _same_terms(a: Element, b: Element) -> bool:
-    return a.terms == b.terms

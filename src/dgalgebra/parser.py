@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraPresentation, Element, Generator, Morphism
+from .errors import DgaError
 from .symbolic import SymbolicElement
 
 
@@ -325,7 +326,7 @@ def _parse_generator_line(tokens, line_no, diagnostics) -> Optional[Generator]:
             return None
     try:
         return Generator(name, degree, weight, stage)
-    except Exception as exc:
+    except DgaError as exc:
         diagnostics.append(Diagnostic(line_no, tokens[1].column, str(exc)))
         return None
 

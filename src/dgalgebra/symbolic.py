@@ -9,10 +9,20 @@ while its coefficients multiply as commutative polynomials over Q.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
 
-from .algebra import AlgebraPresentation, Element, Monomial, normalize_monomial
+from .algebra import (
+    AlgebraPresentation,
+    Element,
+    Monomial,
+    _add_term,
+    _add_terms,
+    _derive_terms,
+    _mul_terms,
+    _power,
+)
 
 PowerProduct = Tuple[Tuple[str, int], ...]  # sorted by unknown name
 
@@ -51,6 +61,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return all(pp == () for pp in self.terms)
 
@@ -84,15 +97,8 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for pp, c in other.terms.items():
-            s = out.get(pp, Fraction(0)) + c
-            if s:
-                out[pp] = s
-            else:
-                out.pop(pp, None)
         p = Poly()
-        p.terms = out
+        p.terms = _add_terms(self.terms, other.terms)
         return p
 
     def __neg__(self) -> "Poly":
@@ -114,12 +120,7 @@ class Poly:
         out: Dict[PowerProduct, Fraction] = {}
         for pp1, c1 in self.terms.items():
             for pp2, c2 in other.terms.items():
-                pp = _merge_power_products(pp1, pp2)
-                s = out.get(pp, Fraction(0)) + c1 * c2
-                if s:
-                    out[pp] = s
-                else:
-                    out.pop(pp, None)
+                _add_term(out, _merge_power_products(pp1, pp2), c1 * c2)
         p = Poly()
         p.terms = out
         return p
@@ -127,10 +128,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
-        out = Poly.constant(1)
-        for _ in range(k):
-            out = out * self
-        return out
+        return _power(operator.mul, self, k, Poly.constant(1))
 
     def substitute(self, values: Mapping[str, "Poly"]) -> "Poly":
         """Replace unknowns by polynomials (rationals wrap as constants)."""
@@ -198,11 +196,7 @@ class SymbolicElement:
 
     def __init__(self, algebra: AlgebraPresentation, terms: Optional[Dict[Monomial, Poly]] = None):
         self.algebra = algebra
-        self.terms: Dict[Monomial, Poly] = {}
-        if terms:
-            for m, p in terms.items():
-                if not p.is_zero():
-                    self.terms[m] = p
+        self.terms: Dict[Monomial, Poly] = {m: p for m, p in (terms or {}).items() if p}
 
     @classmethod
     def from_element(cls, x: Element) -> "SymbolicElement":
@@ -218,14 +212,7 @@ class SymbolicElement:
         return cls(x.algebra, {m: v * c for m, c in x.terms.items()})
 
     def __add__(self, other: "SymbolicElement") -> "SymbolicElement":
-        out = dict(self.terms)
-        for m, p in other.terms.items():
-            s = out.get(m, Poly()) + p
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return SymbolicElement(self.algebra, out)
+        return SymbolicElement(self.algebra, _add_terms(self.terms, other.terms))
 
     def __neg__(self):
         return SymbolicElement(self.algebra, {m: -p for m, p in self.terms.items()})
@@ -235,30 +222,11 @@ class SymbolicElement:
 
     def __mul__(self, other) -> "SymbolicElement":
         if isinstance(other, (int, Fraction, Poly)):
-            if not isinstance(other, Poly):
-                other = Poly.constant(other)
-            return SymbolicElement(
-                self.algebra, {m: p * other for m, p in self.terms.items()}
-            )
-        out: Dict[Monomial, Poly] = {}
-        for m1, p1 in self.terms.items():
-            for m2, p2 in other.terms.items():
-                sign, mono = normalize_monomial(self.algebra, m1.factors + m2.factors)
-                if sign == 0:
-                    continue
-                contribution = p1 * p2 * sign
-                s = out.get(mono, Poly()) + contribution
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return SymbolicElement(self.algebra, out)
+            return SymbolicElement(self.algebra, {m: p * other for m, p in self.terms.items()})
+        return SymbolicElement(self.algebra, _mul_terms(self.algebra, self.terms, other.terms))
 
     def __pow__(self, k: int) -> "SymbolicElement":
-        out = SymbolicElement.from_element(self.algebra.one())
-        for _ in range(k):
-            out = out * self
-        return out
+        return _power(operator.mul, self, k, SymbolicElement.from_element(self.algebra.one()))
 
     def substitute(self, values: Mapping[str, Poly]) -> "SymbolicElement":
         return SymbolicElement(
@@ -277,15 +245,9 @@ class SymbolicElement:
         return out
 
     def d(self) -> "SymbolicElement":
-        """Differential, term by term: coefficients are scalars for d."""
-        out = SymbolicElement(self.algebra)
-        for m, p in self.terms.items():
-            dm = self.algebra.d(self.algebra.element({m: Fraction(1)}))
-            piece = SymbolicElement(
-                self.algebra, {mm: p * c for mm, c in dm.terms.items()}
-            )
-            out = out + piece
-        return out
+        """Differential; coefficients are scalars for d."""
+        images = {n: img.terms for n, img in self.algebra.differential_images().items()}
+        return SymbolicElement(self.algebra, _derive_terms(self.algebra, images, 1, self.terms))
 
     def __str__(self):
         if not self.terms:

@@ -18,6 +18,7 @@ lambda outside {0, 1, -1}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -205,20 +206,14 @@ def _integralise(names, vector) -> Dict[str, int]:
     denominators = [Fraction(v).denominator for v in vector]
     scale = 1
     for d in denominators:
-        scale = scale * d // _gcd(scale, d)
+        scale = math.lcm(scale, d)
     ints = [int(Fraction(v) * scale) for v in vector]
     g = 0
     for v in ints:
-        g = _gcd(g, abs(v))
+        g = math.gcd(g, v)
     if g > 1:
         ints = [v // g for v in ints]
     return {n: v for n, v in zip(names, ints)}
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _search_positive_combination(kernel, bound: int):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dgalgebra.algebra import AlgebraPresentation, validate_presentation
 from dgalgebra.cohomology import differential_matrix
 from dgalgebra.linalg import rref_solve
+from dgalgebra.symbolic import Poly, SymbolicElement
 
 rationals = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4
@@ -111,3 +112,36 @@ def algebra_with_elements(draw, n_elements=2, max_gens=4, max_degree=7):
     algebra = draw(minimal_algebras(max_gens, max_degree))
     elements = [draw(elements_of(algebra)) for _ in range(n_elements)]
     return (algebra, *elements)
+
+
+UNKNOWNS = ("s", "t")
+
+
+@st.composite
+def polys(draw, names=UNKNOWNS, max_terms=3, max_exponent=2):
+    """A polynomial over Q in ``names`` with at most ``max_terms`` terms."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        exps = [draw(st.integers(min_value=0, max_value=max_exponent)) for _ in names]
+        pp = tuple((n, e) for n, e in zip(names, exps) if e)
+        terms[pp] = terms.get(pp, Fraction(0)) + draw(rationals)
+    return Poly(terms)
+
+
+@st.composite
+def symbolic_elements_of(draw, algebra, max_terms=3, max_factors=3):
+    """Random polynomial coefficients on products of random generators."""
+    names = algebra.generator_names()
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        product = algebra.one()
+        for name in draw(st.lists(st.sampled_from(names), max_size=max_factors)):
+            product = product * algebra.gen(name)
+        for m in product.terms:  # none when an odd generator repeats
+            terms[m] = draw(polys())
+    return SymbolicElement(algebra, terms)
+
+
+def points(names=UNKNOWNS):
+    """Rational values for the unknowns ``names``."""
+    return st.fixed_dictionaries({n: rationals for n in names})

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dgalgebra import classify
 from dgalgebra import (
     AlgebraPresentation,
     Morphism,
@@ -249,6 +250,18 @@ def test_classification_infinite_for_free_target(free_even):
     result = classify_homotopy_set(free_even, target)
     assert result.kind == "infinite"
     assert result.certificate is not None
+
+
+def test_family_collapse_lets_unexpected_errors_through(two_stage, monkeypatch):
+    """Only an invalid split means "could not decide"; a bug is not an answer."""
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in make_decomposition")
+
+    monkeypatch.setattr(classify, "make_decomposition", broken)
+    free = AlgebraPresentation.build([("w", 2)], label="free")
+    with pytest.raises(RuntimeError, match="bug in make_decomposition"):
+        classify_homotopy_set(free, two_stage)
 
 
 def test_classification_invariant_under_generator_renaming(ex53):

@@ -8,6 +8,7 @@ from dgalgebra import (
     AlgebraPresentation,
     Morphism,
     NotACocycle,
+    PreconditionViolated,
     WeightsMissing,
     cohomology_at_degree,
     induced_map,
@@ -15,6 +16,7 @@ from dgalgebra import (
     nilpotency_witness,
     weight_split_cohomology,
 )
+from dgalgebra import cohomology
 from dgalgebra.cohomology import differential_matrix
 from dgalgebra.parser import parse_morphism, parse_presentation
 from dgalgebra import corpus
@@ -71,6 +73,20 @@ def test_coboundary_of_zero(ex51):
 
 def test_non_coboundary(ex53):
     assert is_coboundary(ex53, ex53.gen("x2")) is None
+
+
+def test_coboundary_witness_is_rechecked(two_stage, monkeypatch):
+    """A witness that does not bound is an internal error, also under -O."""
+    solve = cohomology.rref_solve
+
+    def wrong_particular(matrix, target):
+        particular, kernel = solve(matrix, target)
+        return [2 * c for c in particular], kernel
+
+    monkeypatch.setattr(cohomology, "rref_solve", wrong_particular)
+    g = two_stage.namespace()
+    with pytest.raises(PreconditionViolated, match="internal inconsistency"):
+        is_coboundary(two_stage, g.u**2)
 
 
 def test_is_coboundary_requires_cocycle(two_stage):

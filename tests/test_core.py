@@ -10,7 +10,6 @@ from dgalgebra import (
     Morphism,
     PresentationMismatch,
     UnknownGenerator,
-    check_chain_map,
     compose,
     extend_derivation,
     normalize_monomial,
@@ -176,7 +175,7 @@ def test_scaled_candidate_fails_chain_check(ex51):
             "z": g.z,
         },
     )
-    report = check_chain_map(candidate)
+    report = candidate.chain_report()
     failing = dict(report)
     assert "y1" in failing
     # residual d(f(y1)) - f(d(y1)) = (2 - 1) * x1^3 * x2

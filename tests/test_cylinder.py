@@ -11,7 +11,6 @@ from dgalgebra import (
     Morphism,
     NotACofibration,
     build_cylinder,
-    end_map,
     extend_homotopy_cofibration,
 )
 
@@ -72,7 +71,7 @@ def test_alpha_correction_ideal_membership(ex52):
 def test_end_map_with_zero_bars_is_start(ex53):
     f = Morphism.identity(ex53)
     h = Homotopy(build_cylinder(ex53), f, {})
-    assert end_map(h) == f
+    assert h.end() == f
 
 
 def test_published_case_one_nullhomotopy(ex52):
@@ -90,7 +89,7 @@ def test_published_case_one_nullhomotopy(ex52):
     f = Morphism(ex52, ex52, images)
     assert f.verified
     h = Homotopy(build_cylinder(ex52), f, {"z": -correction})
-    end = end_map(h)
+    end = h.end()
     for name in ex52.generator_names():
         assert end.images[name].is_zero()
 
@@ -101,8 +100,8 @@ def test_end_map_commutes_with_restriction(ex52):
     bars = {"y1": 2 * g.x1 ** 4, "x1": ex52.zero()}
     h = Homotopy(build_cylinder(ex52), f, bars)
     sub = ex52.subalgebra(["x1", "x2", "y1"])
-    restricted_end = end_map(h.restrict(sub))
-    full_end = end_map(h)
+    restricted_end = h.restrict(sub).end()
+    full_end = h.end()
     for name in sub.generator_names():
         assert restricted_end.images[name] == full_end.images[name]
 
@@ -123,8 +122,8 @@ def test_extension_along_decomposition(ex52):
     assert extended.bar_images["z"].is_zero()
     assert extended.bar_images["y1"] == h.bar_images["y1"]
     # ends agree on the base
-    base_end = end_map(h)
-    full_end = end_map(extended)
+    base_end = h.end()
+    full_end = extended.end()
     for name in sub.generator_names():
         assert full_end.images[name] == base_end.images[name]
 

@@ -162,6 +162,28 @@ def test_cli_parse_error(tmp_path):
     assert "1:" in err
 
 
+def run_cli_process(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "dgalgebra.cli", *args], capture_output=True, text=True
+    )
+
+
+def test_cli_directory_argument_is_a_read_error(tmp_path):
+    proc = run_cli_process("check", str(tmp_path))
+    assert proc.returncode == 2
+    assert "cannot read" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_non_utf8_file_is_a_read_error(tmp_path):
+    bad = tmp_path / "latin1.dga"
+    bad.write_bytes("algebra caf\xe9\ngenerator u : 2\n".encode("latin-1"))
+    proc = run_cli_process("check", str(bad))
+    assert proc.returncode == 2
+    assert "cannot read" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_selfmaps_json():
     code, out, _ = run_cli("selfmaps", "ex51.dga", "--json")
     assert code == 0

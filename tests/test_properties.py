@@ -21,12 +21,21 @@ from dgalgebra import (
     make_decomposition,
 )
 from dgalgebra.algebra import extend_derivation
+from dgalgebra.classify import generic_ansatz
 from dgalgebra.cohomology import differential_matrix
 from dgalgebra.errors import Obstructed
 from dgalgebra.linalg import rref_solve
 from dgalgebra.obstruction import Filtration
+from conftest import load
 from oracles import nullhomotopy_by_bar_search
-from strategies import algebra_with_elements, elements_of, minimal_algebras, rationals
+from strategies import (
+    algebra_with_elements,
+    elements_of,
+    minimal_algebras,
+    points,
+    rationals,
+    symbolic_elements_of,
+)
 
 
 @given(algebra_with_elements(2))
@@ -121,6 +130,35 @@ def test_monomial_basis_spans_and_unique(algebra, draw):
     index = set(algebra.monomial_basis(x.degree())) if not x.is_zero() else set()
     for m in x.terms:
         assert m in index
+
+
+# the corpus algebras have odd generators in front of generators with nonzero
+# d, which random minimal presentations rarely produce
+CORPUS = [load(name) for name in ("ex51.dga", "ex52.dga", "ex53.dga", "two_stage.dga")]
+
+
+@given(st.one_of(minimal_algebras(), st.sampled_from(CORPUS)), st.data())
+@settings(max_examples=80)
+def test_symbolic_arithmetic_evaluates_to_element_arithmetic(algebra, draw):
+    """Evaluating at a rational point commutes with +, *, ** and d."""
+    x = draw.draw(symbolic_elements_of(algebra))
+    y = draw.draw(symbolic_elements_of(algebra))
+    k = draw.draw(st.integers(min_value=0, max_value=3))
+    point = draw.draw(points())
+    ex, ey = x.evaluate(point), y.evaluate(point)
+    assert (x + y).evaluate(point) == ex + ey
+    assert (x * y).evaluate(point) == ex * ey
+    assert (x**k).evaluate(point) == ex**k
+    assert x.d().evaluate(point) == algebra.d(ex)
+
+
+@given(minimal_algebras(max_gens=3, max_degree=5), minimal_algebras(max_gens=3, max_degree=5), st.data())
+@settings(max_examples=40)
+def test_ansatz_apply_evaluates_to_morphism_apply(source, target, draw):
+    ansatz = generic_ansatz(source, target)
+    values = {u: draw.draw(rationals) for u in ansatz.unknowns}
+    x = draw.draw(elements_of(source))
+    assert ansatz.apply(x).evaluate(values) == ansatz.evaluate(values).apply(x)
 
 
 def random_chain_map(draw, source, target):
