@@ -195,18 +195,6 @@ class AlgebraPresentation:
         return alg
 
     @classmethod
-    def from_images(cls, generators, images: Mapping[str, "Element"], label: str = ""):
-        """Like :meth:`build` but with pre-made image elements (parser path).
-
-        The images must be elements of this very presentation object; use
-        :meth:`unsealed` + :meth:`seal` when constructing incrementally.
-        """
-        alg = cls.unsealed(generators, label=label)
-        for name, img in images.items():
-            alg._set_differential(name, img)
-        return alg.seal()
-
-    @classmethod
     def unsealed(cls, generators, label: str = ""):
         gen_objs = [g if isinstance(g, Generator) else Generator(*g) for g in generators]
         return cls(gen_objs, label=label)
@@ -297,14 +285,6 @@ class AlgebraPresentation:
     def element(self, terms: Mapping[Monomial, Fraction]) -> "Element":
         clean = {m: _as_fraction(c) for m, c in terms.items()}
         return Element(self, {m: c for m, c in clean.items() if c})
-
-    def monomial_element(self, raw_factors, coefficient=1) -> "Element":
-        """Element from an arbitrary factor list; applies the sign rule."""
-        sign, mono = normalize_monomial(self, raw_factors)
-        if sign == 0:
-            return self.zero()
-        c = _as_fraction(coefficient) * sign
-        return Element(self, {mono: c} if c else {})
 
     # -- differential --------------------------------------------------------
 
@@ -441,11 +421,6 @@ class Element:
         if len(degs) != 1:
             return False
         return n is None or degs.pop() == n
-
-    def homogeneous_component(self, n: int) -> "Element":
-        return Element(
-            self.algebra, {m: c for m, c in self.terms.items() if m.degree == n}
-        )
 
     def degrees(self):
         return sorted({m.degree for m in self.terms})
@@ -829,11 +804,6 @@ class Morphism:
     @classmethod
     def zero_map(cls, source, target) -> "Morphism":
         return cls(source, target, {})
-
-    def is_identity(self) -> bool:
-        return self.source is self.target and all(
-            self.images[g.name] == self.source.gen(g.name) for g in self.source.generators
-        )
 
     def apply(self, x: Element) -> Element:
         if x.algebra is not self.source and x.algebra != self.source:

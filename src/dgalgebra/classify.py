@@ -34,7 +34,6 @@ from .errors import (
 from .linalg import (
     MultiplicativeSystem,
     RationalMatrix,
-    rref,
     rref_solve,
     solve_multiplicative_system,
 )
@@ -369,31 +368,20 @@ def solve_structured(system: ConstraintSystem) -> List[SolutionFamily]:
 
         remaining = [v for v in var_order if v not in full]
         rem_index = {v: k for k, v in enumerate(remaining)}
-        rows, rhs = [], []
-        for q in lin_polys:
+        entries, rhs = {}, []
+        for i, q in enumerate(lin_polys):
             const, coeffs = q.linear_parts()
-            row = [Fraction(0)] * len(remaining)
             for nm, c in coeffs.items():
-                row[rem_index[nm]] = c
-            rows.append(row)
+                entries[i, rem_index[nm]] = c
             rhs.append(-const)
-        if rows:
-            matrix = RationalMatrix.from_rows(rows)
-            particular, kernel = rref_solve(matrix, rhs)
-            if particular is None:
-                continue
-            _, pivots = rref(matrix)
-            free_cols = [i for i in range(len(remaining)) if i not in pivots]
-        else:
-            particular = [Fraction(0)] * len(remaining)
-            free_cols = list(range(len(remaining)))
-            kernel = [
-                [Fraction(1) if i == j else Fraction(0) for j in range(len(remaining))]
-                for i in free_cols
-            ]
+        matrix = RationalMatrix(len(lin_polys), len(remaining), entries)
+        particular, kernel = rref_solve(matrix, rhs)
+        if particular is None:
+            continue
 
-        # kernel vectors come in free-column order: one per free unknown
-        free_names = [remaining[i] for i in free_cols]
+        # one kernel vector per free unknown; its last nonzero entry is the
+        # free column (the others are pivot columns left of it)
+        free_names = [remaining[max(j for j, x in enumerate(vec) if x)] for vec in kernel]
         dependent: Dict[str, AffineExpr] = {}
         fixed = dict(full)
         for i, name in enumerate(remaining):
@@ -580,6 +568,13 @@ def self_equivalence_group(algebra: AlgebraPresentation) -> SelfEquivalenceGroup
         raise ClassificationIncomplete(
             f"self-map classification is {result.kind}: {result.certificate}"
         )
+    return _equivalence_group(algebra, result)
+
+
+def _equivalence_group(
+    algebra: AlgebraPresentation, result: ClassificationResult
+) -> SelfEquivalenceGroup:
+    """The self-equivalence group read off a finite self-map classification."""
     bound = algebra.max_generator_degree()
     equivalences: List[HomotopyClass] = []
     for cls in result.classes:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import corpus
 from .algebra import AlgebraPresentation, Morphism, validate_presentation
-from .classify import classify_homotopy_set, self_equivalence_group
+from .classify import _equivalence_group, classify_homotopy_set
 from .cohomology import cohomology_at_degree, weight_split_cohomology
 from .cylinder import Homotopy, build_cylinder
 from .errors import (
@@ -167,7 +167,7 @@ def cmd_selfmaps(args) -> int:
             EXIT_UNDETERMINED,
             f"classification is {classification.kind}: {classification.certificate}",
         )
-    group = self_equivalence_group(algebra)
+    group = _equivalence_group(algebra, classification)
     data = {
         "command": "selfmaps",
         "algebra": algebra.label,

@@ -12,11 +12,12 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraPresentation, Element, Morphism
-from .errors import NotACocycle, PreconditionViolated, WeightsMissing
+from .errors import NotACocycle, PreconditionViolated, PresentationMismatch, WeightsMissing
 from .linalg import (
     RationalMatrix,
     reduce_mod_rows,
     row_space_basis,
+    rref,
     rref_solve,
 )
 
@@ -77,16 +78,13 @@ def _representatives(
     d_matrix = differential_matrix(algebra, n, allowed)
     _, kernel = rref_solve(d_matrix, [0] * d_matrix.rows)
 
-    # the image rows are the columns of d in degree n - 1
-    lower = differential_matrix(algebra, n - 1, allowed)
-    image_rows = [[Fraction(0)] * lower.rows for _ in range(lower.cols)]
-    for (i, j), v in lower.entries.items():
-        image_rows[j][i] = v
-    image_echelon, image_pivots = row_space_basis(image_rows)
+    # B^n is the row space of the transposed d-matrix of degree n - 1
+    image, image_pivots = rref(differential_matrix(algebra, n - 1, allowed).transpose())
+    image_rows = image.sparse_rows()
 
     reduced = []
     for vec in kernel:
-        red = reduce_mod_rows(vec, image_echelon, image_pivots)
+        red = reduce_mod_rows(vec, image_rows, image_pivots)
         if any(red):
             reduced.append(red)
     rep_rows, _ = row_space_basis(reduced)
@@ -133,6 +131,10 @@ def class_coordinates(
     target: AlgebraPresentation, x: Element, n: int
 ) -> List[Fraction]:
     """Coordinates of the class of cocycle ``x`` in the canonical H^n basis."""
+    if x.algebra != target:
+        raise PresentationMismatch("element belongs to a different presentation")
+    if not x.is_homogeneous(n):
+        raise NotACocycle(f"element is not homogeneous of degree {n}")
     reps = cohomology_at_degree(target, n).representatives
     index = _index(target.monomial_basis(n))
     # columns: the representatives, then d of each degree-(n-1) monomial
@@ -169,11 +171,7 @@ def induced_map_is_isomorphism(f: Morphism, n: int) -> bool:
     dim_tgt = cohomology_at_degree(f.target, n).dimension
     if dim_src != dim_tgt:
         return False
-    if dim_src == 0:
-        return True
-    m = RationalMatrix.from_rows([list(r) for r in matrix])
-    _, kernel = rref_solve(m.transpose(), [0] * dim_tgt)
-    return not kernel
+    return dim_src == 0 or len(rref(RationalMatrix.from_rows(matrix))[1]) == dim_src
 
 
 def monomial_weight(algebra: AlgebraPresentation, m) -> int:

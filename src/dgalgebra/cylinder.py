@@ -68,8 +68,6 @@ class CylinderAlgebra:
             total._set_differential(self.bar_name[g.name], total.gen(self.hat_name[g.name]))
         self.total = total.seal()
 
-        self._bar_set = set(self.bar_name.values())
-        self._hat_set = set(self.hat_name.values())
         self._i_images = {g.name: self.total.gen(self.bar_name[g.name]) for g in base.generators}
         self._gamma_images: Dict[str, Element] = {}
         self._alpha_gen: Dict[str, Element] = {}
@@ -79,18 +77,6 @@ class CylinderAlgebra:
     def include(self, x: Element) -> Element:
         """Inclusion of the base into the cylinder."""
         return transfer_element(x, self.total)
-
-    def plain_names(self):
-        return set(self.base.generator_names())
-
-    def classify_name(self, name: str) -> str:
-        if name in self.base._by_name:
-            return "plain"
-        if name in self._bar_set:
-            return "bar"
-        if name in self._hat_set:
-            return "hat"
-        raise KeyError(name)
 
     # -- derivations ------------------------------------------------------------
 

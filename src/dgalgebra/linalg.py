@@ -59,6 +59,14 @@ class RationalMatrix:
             out[i][j] = v
         return out
 
+    def sparse_rows(self) -> List[Dict[int, Fraction]]:
+        """One ``{column: nonzero value}`` dict per row, the row format of
+        every elimination here."""
+        rows: List[Dict[int, Fraction]] = [{} for _ in range(self.rows)]
+        for (i, j), v in self.entries.items():
+            rows[i][j] = v
+        return rows
+
     def transpose(self) -> "RationalMatrix":
         m = RationalMatrix(self.cols, self.rows)
         m.entries = {(j, i): v for (i, j), v in self.entries.items()}
@@ -84,13 +92,6 @@ class RationalMatrix:
 
     def __repr__(self):
         return f"<RationalMatrix {self.rows}x{self.cols}, {len(self.entries)} entries>"
-
-
-def _sparse_rows(matrix: RationalMatrix) -> List[Dict[int, Fraction]]:
-    rows: List[Dict[int, Fraction]] = [{} for _ in range(matrix.rows)]
-    for (i, j), v in matrix.entries.items():
-        rows[i][j] = v
-    return rows
 
 
 def _dense(row: Dict[int, Fraction], n: int) -> List[Fraction]:
@@ -139,7 +140,7 @@ def _subtract(row: Dict[int, Fraction], f: Fraction, other: Dict[int, Fraction])
 
 
 def rref(matrix: RationalMatrix) -> Tuple[RationalMatrix, List[int]]:
-    rows, pivots = _rref(_sparse_rows(matrix))
+    rows, pivots = _rref(matrix.sparse_rows())
     out = RationalMatrix(matrix.rows, matrix.cols)
     out.entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
     return out, pivots
@@ -158,7 +159,7 @@ def rref_solve(
     if len(b) != matrix.rows:
         raise DimensionMismatch("right-hand side has wrong length")
     n = matrix.cols
-    aug = _sparse_rows(matrix)
+    aug = matrix.sparse_rows()
     for row, v in zip(aug, b):
         if v:
             row[n] = v
@@ -193,17 +194,16 @@ def row_space_basis(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], L
 
 
 def reduce_mod_rows(
-    vec: Sequence[Fraction], rows: List[List[Fraction]], pivots: List[int]
+    vec: Sequence[Fraction], rows: List[Dict[int, Fraction]], pivots: List[int]
 ) -> List[Fraction]:
-    """Reduce ``vec`` (of ints or Fractions) modulo the row space of an
-    echelon basis; only nonzero entries of the basis rows are subtracted."""
+    """Reduce ``vec`` (of ints or Fractions) modulo the row space of sparse
+    reduced echelon rows ``{column: value}`` with the given pivots."""
     v = list(vec)
     for row, p in zip(rows, pivots):
         f = v[p]
         if f:
-            for j, b in enumerate(row):
-                if b:
-                    v[j] -= f * b
+            for j, b in row.items():
+                v[j] -= f * b
     return v
 
 
@@ -374,53 +374,14 @@ def _prime_factors(n: int):
     return out
 
 
-def _valuation_vector(c: Fraction, primes: Sequence[int]) -> List[int]:
-    num = _prime_factors(c.numerator)
-    den = _prime_factors(c.denominator)
-    return [num.get(p, 0) - den.get(p, 0) for p in primes]
-
-
-def _solve_gf2(rows: List[List[int]], rhs: List[int]):
-    """Solve a linear system over GF(2); returns (particular, kernel) or None."""
-    if not rows:
-        return [0] * 0, []
-    n = len(rows[0])
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c] % 2), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] % 2:
-                aug[i] = [(x + y) % 2 for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][n] % 2:
-            return None
-    particular = [0] * n
-    for i, c in enumerate(pivots):
-        particular[c] = aug[i][n] % 2
-    free = [c for c in range(n) if c not in pivots]
-    kernel = []
-    for fc in free:
-        vec = [0] * n
-        vec[fc] = 1
-        for i, c in enumerate(pivots):
-            vec[c] = aug[i][fc] % 2
-        kernel.append(vec)
-    return particular, kernel
-
-
 def solve_multiplicative_system(system: MultiplicativeSystem) -> MultiplicativeSolutions:
     """Solve ``prod x_i**e_i = c`` equations over nonzero rationals.
 
-    Decomposes constants and unknowns into sign times prime valuations: the
-    valuations satisfy an integer linear system per prime (solved through the
-    Smith form), the signs a GF(2) system.  When the exponent lattice has
+    Decomposes constants and unknowns into sign times prime valuations.  One
+    Smith form ``U * E * V = D`` of the exponent matrix E serves both parts:
+    the valuations satisfy an integer linear system per prime, and the signs
+    the same system mod 2, where U and V stay invertible, so with ``s = V y``
+    it reads ``d_i * y_i = (U sigma)_i``.  When the exponent lattice has
     full column rank the solution set is finite; otherwise the kernel
     directions are reported symbolically.  Solutions can only involve primes
     dividing some constant: any other prime's valuations satisfy the
@@ -437,14 +398,8 @@ def solve_multiplicative_system(system: MultiplicativeSystem) -> MultiplicativeS
         )
     exponent_rows = [list(exps) for exps, _ in system.equations]
     constants = [c for _, c in system.equations]
-
-    primes = sorted(
-        {
-            p
-            for c in constants
-            for p in (*_prime_factors(c.numerator), *_prime_factors(c.denominator))
-        }
-    )
+    factored = [(_prime_factors(c.numerator), _prime_factors(c.denominator)) for c in constants]
+    primes = sorted({p for num, den in factored for p in (*num, *den)})
 
     u, d, v = smith_form(exponent_rows)
     m = len(exponent_rows)
@@ -455,8 +410,8 @@ def solve_multiplicative_system(system: MultiplicativeSystem) -> MultiplicativeS
 
     # one integer valuation vector per prime
     valuations = {}
-    for p_idx, p in enumerate(primes):
-        w = [_valuation_vector(c, primes)[p_idx] for c in constants]
+    for p in primes:
+        w = [num.get(p, 0) - den.get(p, 0) for num, den in factored]
         uw = [sum(u[i][j] * w[j] for j in range(m)) for i in range(m)]
         y = [0] * k
         for i in range(min(m, k)):
@@ -478,13 +433,16 @@ def solve_multiplicative_system(system: MultiplicativeSystem) -> MultiplicativeS
                 )
         valuations[p] = [sum(v[i][j] * y[j] for j in range(k)) for i in range(k)]
 
-    # sign system over GF(2)
-    sign_rhs = [1 if c < 0 else 0 for c in constants]
-    sign_solution = _solve_gf2([row[:] for row in exponent_rows], sign_rhs)
-    if sign_solution is None:
-        raise UnsolvableSystem("no rational solution: the sign system is inconsistent")
-    sign_particular, sign_kernel = sign_solution
-    if len(sign_kernel) > 20:
+    # signs: y_i is fixed by an odd d_i, free for an even one or past the rank
+    u_sigma = [sum(u[i][j] for j in range(m) if constants[j] < 0) % 2 for i in range(m)]
+    y = [0] * k
+    for i in range(m):
+        if i < len(diag) and diag[i] % 2:
+            y[i] = u_sigma[i]
+        elif u_sigma[i]:
+            raise UnsolvableSystem("no rational solution: the sign system is inconsistent")
+    free_signs = [j for j in range(k) if j >= len(diag) or diag[j] % 2 == 0]
+    if len(free_signs) > 20:
         raise UnsupportedShape("too many free signs to enumerate")
 
     magnitudes = [Fraction(1)] * k
@@ -493,11 +451,10 @@ def solve_multiplicative_system(system: MultiplicativeSystem) -> MultiplicativeS
             magnitudes[i] *= Fraction(p) ** valuations[p][i]
 
     solutions = []
-    for mask in range(1 << len(sign_kernel)):
-        signs = sign_particular[:]
-        for b, vec in enumerate(sign_kernel):
-            if (mask >> b) & 1:
-                signs = [(s + t) % 2 for s, t in zip(signs, vec)]
+    for mask in range(1 << len(free_signs)):
+        for b, j in enumerate(free_signs):
+            y[j] = (mask >> b) & 1
+        signs = [sum(v[i][j] * y[j] for j in range(k)) % 2 for i in range(k)]
         sol = tuple(
             magnitudes[i] * (-1 if signs[i] else 1) for i in range(k)
         )

@@ -61,16 +61,12 @@ def make_decomposition(
     mode: str = "explicit",
     v1=None,
     degree: Optional[int] = None,
-    filtration: Optional["Filtration"] = None,
-    stage: Optional[int] = None,
 ) -> ObstructionDecomposition:
     """Build and validate a decomposition.
 
     Modes: ``explicit`` takes the V1 names directly; ``degree`` puts every
     generator of the given degree (default: the top one) into V1 and demands
-    nothing sits above it; ``filtered_stage`` splits a filtration level from
-    everything below it (the algebra must then be the corresponding
-    sub-presentation).
+    nothing sits above it.
     """
     names = set(algebra.generator_names())
     if mode == "explicit":
@@ -85,16 +81,6 @@ def make_decomposition(
                 f"generators {sorted(above)} exceed the split degree {top}"
             )
         v1_set = {n for n in names if algebra.degree_of(n) == top}
-    elif mode == "filtered_stage":
-        if filtration is None or stage is None:
-            raise InvalidDecomposition("filtered_stage mode needs a filtration and a stage")
-        filtration.validate()
-        v1_set = {n for n in names if filtration.stages[n] == stage}
-        below = {n for n in names if filtration.stages[n] < stage}
-        if v1_set | below != names:
-            raise InvalidDecomposition(
-                "algebra must be the filtration sub-presentation up to the stage"
-            )
     else:
         raise InvalidDecomposition(f"unknown mode {mode!r}")
 
@@ -297,11 +283,6 @@ class Filtration:
     def stage_values(self) -> List[int]:
         return sorted(set(self.stages.values()))
 
-    def names_below(self, stage: int) -> List[str]:
-        return [
-            g.name for g in self.algebra.generators if self.stages[g.name] < stage
-        ]
-
     def names_at(self, stage: int) -> List[str]:
         return [
             g.name for g in self.algebra.generators if self.stages[g.name] == stage
@@ -434,12 +415,7 @@ def _induced_maps_differ(f: Morphism, g: Morphism, bound: int):
     return None
 
 
-def decide_homotopic(
-    f: Morphism,
-    g: Morphism,
-    filtration: Optional[Filtration] = None,
-    induced_bound: Optional[int] = None,
-) -> HomotopyDecision:
+def decide_homotopic(f: Morphism, g: Morphism) -> HomotopyDecision:
     """Three-step pipeline deciding homotopy of two chain maps.
 
     (a) compare induced cohomology maps degree by degree up to the top
@@ -459,8 +435,7 @@ def decide_homotopic(
     if f.images == g.images:
         return HomotopyDecision("yes", homotopy=Homotopy.constant(f), detail="equal maps")
 
-    bound = induced_bound if induced_bound is not None else source.max_generator_degree()
-    differ = _induced_maps_differ(f, g, bound)
+    differ = _induced_maps_differ(f, g, source.max_generator_degree())
     if differ is not None:
         n, mf, mg = differ
         return HomotopyDecision(
@@ -474,23 +449,17 @@ def decide_homotopic(
             detail=f"induced cohomology maps differ in degree {n}",
         )
 
-    vanish = {
-        gname
-        for gname in source.generator_names()
-        if f.images[gname].is_zero() and g.images[gname].is_zero()
-    }
-    core_ok = True
-    for name in source.generator_names():
-        img = source.differential_image(name)
-        for m in img.terms:
-            for n in m.generator_names():
-                if n not in vanish:
-                    core_ok = False
-                    break
-    if core_ok:
-        decomposition = ObstructionDecomposition(
-            source, frozenset(vanish), frozenset(set(source.generator_names()) - vanish)
-        )
+    # V0: the generators both maps kill, valid when every d lands there
+    v1 = [
+        n
+        for n in source.generator_names()
+        if not (f.images[n].is_zero() and g.images[n].is_zero())
+    ]
+    try:
+        decomposition = make_decomposition(source, "explicit", v1=v1)
+    except InvalidDecomposition:
+        pass
+    else:
         decision = decide_homotopic_zero_restriction(f, g, decomposition)
         if decision.homotopic:
             return HomotopyDecision("yes", homotopy=decision.homotopy, detail="zero-restriction decision")
@@ -504,9 +473,7 @@ def decide_homotopic(
             detail="nonzero obstruction with both maps vanishing on V0",
         )
 
-    filtration = filtration or Filtration.by_degree(source)
-    filtration.validate()
-    full, failure = _extend_by_stages(f, g, filtration)
+    full, failure = _extend_by_stages(f, g, Filtration.by_degree(source).validate())
     if failure is not None:
         stage, _, value = failure
         return HomotopyDecision(

@@ -47,9 +47,6 @@ class WeightAssignment:
     def weight_of_monomial(self, m) -> int:
         return sum(self.weights[n] * e for n, e in m.factors)
 
-    def second_degree(self, name: str) -> int:
-        return self.weights[name] - self.algebra.degree_of(name)
-
 
 @dataclass
 class WeightIssue:
@@ -159,23 +156,14 @@ def find_weight_assignment(algebra: AlgebraPresentation) -> WeightSearchResult:
     """
     names = algebra.generator_names()
     index = {n: i for i, n in enumerate(names)}
-    rows = []
+    entries: Dict[Tuple[int, int], int] = {}
+    rows = 0
     for g in algebra.generators:
-        img = algebra.differential_image(g.name)
-        for m in img.terms:
-            row = [Fraction(0)] * len(names)
-            for n, e in m.factors:
-                row[index[n]] += e
-            row[index[g.name]] -= 1
-            rows.append(row)
-    if rows:
-        matrix = RationalMatrix.from_rows(rows)
-        _, kernel = rref_solve(matrix, [0] * len(rows))
-    else:
-        kernel = [
-            [Fraction(1) if i == j else Fraction(0) for j in range(len(names))]
-            for i in range(len(names))
-        ]
+        for m in algebra.differential_image(g.name).terms:
+            for n, e in (*m.factors, (g.name, -1)):
+                entries[rows, index[n]] = entries.get((rows, index[n]), 0) + e
+            rows += 1
+    _, kernel = rref_solve(RationalMatrix(rows, len(names), entries), [0] * rows)
 
     dim = len(kernel)
     certificate = None
@@ -269,13 +257,7 @@ def _weight_components(assignment: WeightAssignment, x: Element):
     return out
 
 
-def verify_infinite_family(
-    f: Morphism,
-    side: str,
-    lam,
-    count: int,
-    filtration: Optional[Filtration] = None,
-) -> InfiniteFamilyReport:
+def verify_infinite_family(f: Morphism, side: str, lam, count: int) -> InfiniteFamilyReport:
     """Certify that composing f with powers of the scaling automorphism gives
     pairwise non-homotopic maps.
 
@@ -296,8 +278,7 @@ def verify_infinite_family(
     if not report.ok:
         raise WeightsMissing(f"weights invalid on the {side}: {report}")
 
-    filtration = filtration or Filtration.by_degree(f.source)
-    verdict = decide_nullhomotopic(f, filtration)
+    verdict = decide_nullhomotopic(f, Filtration.by_degree(f.source))
     if verdict.nullhomotopic:
         raise PreconditionViolated(
             "the map is nullhomotopic; its composites form a single class"

@@ -9,6 +9,7 @@ from dgalgebra import (
     Morphism,
     NotACocycle,
     PreconditionViolated,
+    PresentationMismatch,
     WeightsMissing,
     cohomology_at_degree,
     induced_map,
@@ -17,7 +18,7 @@ from dgalgebra import (
     weight_split_cohomology,
 )
 from dgalgebra import cohomology
-from dgalgebra.cohomology import differential_matrix
+from dgalgebra.cohomology import class_coordinates, differential_matrix
 from dgalgebra.parser import parse_morphism, parse_presentation
 from dgalgebra import corpus
 from oracles import dense_rank
@@ -92,6 +93,19 @@ def test_coboundary_witness_is_rechecked(two_stage, monkeypatch):
 def test_is_coboundary_requires_cocycle(two_stage):
     with pytest.raises(NotACocycle):
         is_coboundary(two_stage, two_stage.gen("v"))
+
+
+def test_class_coordinates_rejects_wrong_degree(ex53):
+    g = ex53.namespace()
+    for x, n in ((g.x1, 12), (g.x1 + g.x2, 10)):
+        with pytest.raises(NotACocycle):
+            class_coordinates(ex53, x, n)
+
+
+def test_class_coordinates_rejects_foreign_element(ex51, ex53):
+    x1 = ex51.gen("x1")
+    with pytest.raises(PresentationMismatch):
+        class_coordinates(ex53, x1, x1.degree())
 
 
 def test_induced_map_identity(ex53):
@@ -172,7 +186,7 @@ def test_no_nilpotency_in_polynomial_algebra():
 def test_coboundary_solve_matches_dense_oracle(ex52):
     # the degree-130 query against the degree-129 coboundary matrix, solved a
     # second way with plain dense elimination
-    from dgalgebra.cohomology import differential_matrix
+    from dgalgebra.cohomology import class_coordinates, differential_matrix
     from fractions import Fraction
     from oracles import dense_solve
 

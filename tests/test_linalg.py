@@ -1,5 +1,6 @@
 """Exact linear algebra: RREF solving, Smith form, multiplicative systems."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -109,7 +110,8 @@ def test_elimination_matches_dense_reference_exactly(system):
 
     basis, pivots = row_space_basis(rows)
     assert (basis, pivots) == dense_row_space_basis(rows)
-    assert reduce_mod_rows(vec, basis, pivots) == dense_reduce_mod_rows(vec, basis, pivots)
+    sparse_basis = [{j: v for j, v in enumerate(row) if v} for row in basis]
+    assert reduce_mod_rows(vec, sparse_basis, pivots) == dense_reduce_mod_rows(vec, basis, pivots)
 
 
 def _check_smith(m):
@@ -245,6 +247,39 @@ def test_multiplicative_matches_bounded_search(equations):
             assert system.satisfied_by(s)
         for b in brute:
             assert _in_family(system, result, b)
+
+
+@st.composite
+def sign_systems(draw):
+    """Exponent matrices up to 4 x 4 with constants +-1: a pure sign problem."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=4))
+    return [
+        (
+            tuple(draw(st.lists(small_exponents, min_size=k, max_size=k))),
+            draw(st.sampled_from([Fraction(1), Fraction(-1)])),
+        )
+        for _ in range(m)
+    ]
+
+
+@given(sign_systems())
+@settings(max_examples=300)
+def test_sign_solutions_match_enumeration(equations):
+    k = len(equations[0][0])
+    system = MultiplicativeSystem.make([f"x{i}" for i in range(k)], equations)
+    brute = sorted(
+        signs
+        for signs in itertools.product((Fraction(-1), Fraction(1)), repeat=k)
+        if system.satisfied_by(signs)
+    )
+    try:
+        result = solve_multiplicative_system(system)
+    except UnsolvableSystem:
+        assert brute == []
+        return
+    assert result.solutions == brute
+    assert brute
 
 
 def _in_family(system, result, candidate):

@@ -192,6 +192,24 @@ def test_cli_selfmaps_json():
     assert data["group"] == "trivial"
 
 
+def test_cli_selfmaps_classifies_once(monkeypatch):
+    from dgalgebra import classify, cli
+
+    calls = []
+
+    def counted(source, target):
+        calls.append((source.label, target.label))
+        return classify_homotopy_set(source, target)
+
+    classify_homotopy_set = classify.classify_homotopy_set
+    monkeypatch.setattr(classify, "classify_homotopy_set", counted)
+    monkeypatch.setattr(cli, "classify_homotopy_set", counted)
+    code, out, _ = run_cli("selfmaps", "ex51.dga", "--json")
+    assert code == 0
+    assert json.loads(out)["group"] == "trivial"
+    assert len(calls) == 1
+
+
 def test_cli_selfmaps_ex53():
     code, out, _ = run_cli("selfmaps", "ex53.dga", "--json")
     assert code == 0

@@ -1,5 +1,6 @@
 """Source rules for ``src/dgalgebra`` that keep its checks alive under
-``python -O`` and keep bugs from being reported as answers.
+``python -O``, keep bugs from being reported as answers, and keep public
+surface that nothing uses from piling up.
 
 ``assert`` statements are compiled out under ``-O``, so a re-check written
 as one silently disappears; a handler for ``Exception`` or ``BaseException``
@@ -8,9 +9,12 @@ returns.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dgalgebra"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dgalgebra"
 BROAD = {"Exception", "BaseException"}
 
 
@@ -48,3 +52,33 @@ def test_no_broad_exception_handlers():
         if isinstance(node, ast.ExceptHandler) and _is_broad(node)
     ]
     assert found == []
+
+
+def _public_definitions():
+    """``(file, name)`` of every public module-level or class-level
+    function, method and class."""
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            for d in [node, *(node.body if isinstance(node, ast.ClassDef) else [])]:
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if not d.name.startswith("_"):
+                        yield path.relative_to(SRC), d.name
+
+
+def test_every_public_name_is_referenced():
+    """Each public name occurs as a word somewhere besides its definitions:
+    in the sources, tests, demos, bench or README.  Re-exports from the
+    package ``__init__`` do not count as a use."""
+    files = [ROOT / "README.md"]
+    for folder in ("src", "tests", "demos", "bench"):
+        files.extend((ROOT / folder).rglob("*.py"))
+    words = Counter()
+    for path in files:
+        if path != SRC / "__init__.py":
+            words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    defined = list(_public_definitions())
+    definitions = Counter(name for _, name in defined)
+    unused = [f"{path}:{name}" for path, name in defined if words[name] <= definitions[name]]
+    assert defined
+    assert unused == []
