@@ -141,6 +141,7 @@ class AlgebraPresentation:
         "_basis_cache",
         "_sub_cache",
         "_cohomology_cache",
+        "_d_matrix_cache",
         "_cylinder",
         "label",
     )
@@ -159,6 +160,7 @@ class AlgebraPresentation:
         self._basis_cache = {}
         self._sub_cache = {}
         self._cohomology_cache = {}
+        self._d_matrix_cache = {}
         self._cylinder = None
         self.label = label
 
@@ -216,6 +218,9 @@ class AlgebraPresentation:
             self._diff.pop(name, None)
         else:
             self._diff[name] = image
+        # everything derived from the differential is stale now
+        self._hash = self._cylinder = None
+        self._sub_cache, self._cohomology_cache, self._d_matrix_cache = {}, {}, {}
 
     # -- identity ----------------------------------------------------------
 

@@ -11,52 +11,59 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraPresentation, Element, Morphism
-from .errors import NotACocycle, PreconditionViolated, PresentationMismatch, WeightsMissing
-from .linalg import (
-    RationalMatrix,
-    reduce_mod_rows,
-    row_space_basis,
-    rref,
-    rref_solve,
-)
+from .algebra import AlgebraPresentation, Element, Morphism, _derive_terms
+from .errors import DegreeMismatch, NotACocycle, PreconditionViolated, PresentationMismatch, WeightsMissing
+from .linalg import RationalMatrix, kernel_rows, reduce_mod_rows, rref, rref_solve
 
 
-def _index(basis: List) -> Dict:
-    return {m: i for i, m in enumerate(basis)}
-
-
-def _coords(x: Element, basis: List) -> List[Fraction]:
-    index = _index(basis)
-    vec = [Fraction(0)] * len(basis)
-    for m, c in x.terms.items():
-        vec[index[m]] = c
-    return vec
-
-
-def _from_coords(algebra: AlgebraPresentation, basis: List, vec) -> Element:
-    return algebra.element({m: Fraction(c) for m, c in zip(basis, vec) if c})
-
-
-def _basis(algebra: AlgebraPresentation, n: int, allowed=None) -> List:
-    basis = algebra.monomial_basis(n)
-    return basis if allowed is None else [m for m in basis if allowed(m)]
+def _assemble(algebra: AlgebraPresentation, n: int) -> RationalMatrix:
+    """The full degree-n d-matrix, read off the term kernel per basis monomial."""
+    src = algebra.monomial_basis(n)
+    index = {m: i for i, m in enumerate(algebra.monomial_basis(n + 1))}
+    images = {name: img.terms for name, img in algebra._diff.items()}
+    matrix = RationalMatrix(len(index), len(src))
+    one = Fraction(1)
+    for j, m in enumerate(src):
+        for mono, c in _derive_terms(algebra, images, 1, {m: one}).items():
+            i = index.get(mono)
+            if i is None:
+                raise DegreeMismatch(f"d({m}) has the term {mono} outside degree {n + 1}")
+            matrix.entries[i, j] = c
+    return matrix
 
 
 def differential_matrix(algebra: AlgebraPresentation, n: int, allowed=None) -> RationalMatrix:
     """Matrix of d restricted to degree n, columns indexed by the degree-n
     monomial basis and rows by the degree-(n+1) basis.
 
-    ``allowed`` restricts both bases to a sub-basis that d must preserve
-    (used for weight splitting).
+    The full matrix is assembled once per presentation and degree; every
+    call returns a fresh copy.  ``allowed`` restricts both bases to a
+    sub-basis that d must preserve (used for weight splitting).
     """
-    src = _basis(algebra, n, allowed)
-    index = _index(_basis(algebra, n + 1, allowed))
-    matrix = RationalMatrix(len(index), len(src))
-    for j, m in enumerate(src):
-        for mono, c in algebra.d(algebra.element({m: 1})).terms.items():
-            matrix.entries[index[mono], j] = c
+    full = algebra._d_matrix_cache.get(n)
+    if full is None:
+        full = algebra._d_matrix_cache[n] = _assemble(algebra, n)
+    if allowed is None:
+        matrix = RationalMatrix(full.rows, full.cols)
+        matrix.entries = dict(full.entries)
+        return matrix
+    src = algebra.monomial_basis(n)
+    cols = {j: k for k, j in enumerate(j for j, m in enumerate(src) if allowed(m))}
+    target = algebra.monomial_basis(n + 1)
+    rows = {i: k for k, i in enumerate(i for i, m in enumerate(target) if allowed(m))}
+    matrix = RationalMatrix(len(rows), len(cols))
+    for (i, j), v in full.entries.items():
+        if j in cols:
+            if i not in rows:
+                raise PreconditionViolated(f"d({src[j]}) leaves the sub-basis: term {target[i]}")
+            matrix.entries[rows[i], cols[j]] = v
     return matrix
+
+
+def _echelon(matrix: RationalMatrix) -> Tuple[List[Dict[int, Fraction]], List[int]]:
+    """The sparse reduced echelon rows of ``matrix`` and their pivots."""
+    reduced, pivots = rref(matrix)
+    return reduced.sparse_rows()[: len(pivots)], pivots
 
 
 @dataclass
@@ -67,28 +74,24 @@ class DegreeCohomology:
     representatives: List[Element]
 
 
-def _representatives(
-    algebra: AlgebraPresentation, n: int, allowed=None
-) -> List[Element]:
+def _representatives(algebra: AlgebraPresentation, n: int, allowed=None) -> List[Element]:
     """Canonical cocycle representatives of H^n, optionally restricted to a
     sub-basis (used for weight splitting; d preserves the restriction)."""
-    basis = _basis(algebra, n, allowed)
+    basis = [m for m in algebra.monomial_basis(n) if allowed is None or allowed(m)]
     if not basis:
         return []
-    d_matrix = differential_matrix(algebra, n, allowed)
-    _, kernel = rref_solve(d_matrix, [0] * d_matrix.rows)
-
-    # B^n is the row space of the transposed d-matrix of degree n - 1
-    image, image_pivots = rref(differential_matrix(algebra, n - 1, allowed).transpose())
-    image_rows = image.sparse_rows()
-
-    reduced = []
-    for vec in kernel:
-        red = reduce_mod_rows(vec, image_rows, image_pivots)
-        if any(red):
-            reduced.append(red)
-    rep_rows, _ = row_space_basis(reduced)
-    return [_from_coords(algebra, basis, row) for row in rep_rows]
+    # Z^n from the reduced d-matrix; B^n is the row space of the transposed
+    # d-matrix of degree n - 1
+    kernel = kernel_rows(*_echelon(differential_matrix(algebra, n, allowed)), len(basis))
+    image_rows, image_pivots = _echelon(differential_matrix(algebra, n - 1, allowed).transpose())
+    reduced = [reduce_mod_rows(vec, image_rows, image_pivots) for vec in kernel]
+    reduced = [red for red in reduced if red]
+    if not reduced:
+        return []
+    matrix = RationalMatrix(len(reduced), len(basis))
+    matrix.entries = {(i, j): v for i, red in enumerate(reduced) for j, v in red.items()}
+    rep_rows, _ = _echelon(matrix)
+    return [Element(algebra, {basis[j]: row[j] for j in sorted(row)}) for row in rep_rows]
 
 
 def cohomology_at_degree(algebra: AlgebraPresentation, n: int) -> DegreeCohomology:
@@ -117,11 +120,10 @@ def is_coboundary(algebra: AlgebraPresentation, z: Element) -> Optional[Element]
     if not lower:
         return None
     d_matrix = differential_matrix(algebra, n - 1)
-    target = _coords(z, algebra.monomial_basis(n))
-    particular, _ = rref_solve(d_matrix, target)
+    particular, _ = rref_solve(d_matrix, [z.terms.get(m, 0) for m in algebra.monomial_basis(n)])
     if particular is None:
         return None
-    witness = _from_coords(algebra, lower, particular)
+    witness = algebra.element({m: c for m, c in zip(lower, particular) if c})
     if algebra.d(witness) != z:
         raise PreconditionViolated("internal inconsistency: coboundary witness does not bound")
     return witness
@@ -136,7 +138,7 @@ def class_coordinates(
     if not x.is_homogeneous(n):
         raise NotACocycle(f"element is not homogeneous of degree {n}")
     reps = cohomology_at_degree(target, n).representatives
-    index = _index(target.monomial_basis(n))
+    index = {m: i for i, m in enumerate(target.monomial_basis(n))}
     # columns: the representatives, then d of each degree-(n-1) monomial
     d_lower = differential_matrix(target, n - 1)
     k = len(reps)
@@ -145,7 +147,7 @@ def class_coordinates(
     for j, r in enumerate(reps):
         for m, c in r.terms.items():
             matrix.entries[index[m], j] = c
-    sol, _ = rref_solve(matrix, _coords(x, target.monomial_basis(n)))
+    sol, _ = rref_solve(matrix, [x.terms.get(m, 0) for m in target.monomial_basis(n)])
     if sol is None:
         raise NotACocycle("element is not a cocycle modulo coboundaries")
     return sol[:k]

@@ -38,17 +38,10 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
-        r = len(rows)
         c = len(rows[0]) if rows else 0
-        m = cls(r, c)
-        for i, row in enumerate(rows):
-            if len(row) != c:
-                raise DimensionMismatch("ragged rows")
-            for j, v in enumerate(row):
-                v = Fraction(v)
-                if v:
-                    m.entries[(i, j)] = v
-        return m
+        if any(len(row) != c for row in rows):
+            raise DimensionMismatch("ragged rows")
+        return cls(len(rows), c, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
 
     def get(self, i: int, j: int) -> Fraction:
         return self.entries.get((i, j), Fraction(0))
@@ -92,13 +85,6 @@ class RationalMatrix:
 
     def __repr__(self):
         return f"<RationalMatrix {self.rows}x{self.cols}, {len(self.entries)} entries>"
-
-
-def _dense(row: Dict[int, Fraction], n: int) -> List[Fraction]:
-    out = [Fraction(0)] * n
-    for j, v in row.items():
-        out[j] = v
-    return out
 
 
 def _rref(rows: List[Dict[int, Fraction]]) -> Tuple[List[Dict[int, Fraction]], List[int]]:
@@ -171,17 +157,22 @@ def rref_solve(
         for row, c in zip(rows, pivots):
             particular[c] = row.get(n, Fraction(0))
 
-    pivot_set = set(pivots)
-    free = {c: k for k, c in enumerate(c for c in range(n) if c not in pivot_set)}
-    kernel = [[Fraction(0)] * n for _ in free]
-    for c, k in free.items():
-        kernel[k][c] = Fraction(1)
-    for row, c in zip(rows, pivots):
-        for j, v in row.items():
-            k = free.get(j)
-            if k is not None:
-                kernel[k][c] = -v
+    kernel = [[vec.get(j, Fraction(0)) for j in range(n)] for vec in kernel_rows(rows, pivots, n)]
     return particular, kernel
+
+
+def kernel_rows(
+    rows: List[Dict[int, Fraction]], pivots: List[int], n: int
+) -> List[Dict[int, Fraction]]:
+    """A sparse kernel basis of the reduced echelon rows over the first n
+    columns: free column f gives ``{f: 1, pivot(r): -r[f]}``, in column order."""
+    pivot_set = set(pivots)
+    kernel = {f: {f: Fraction(1)} for f in range(n) if f not in pivot_set}
+    for row, p in zip(rows, pivots):
+        for f, v in row.items():
+            if f in kernel:
+                kernel[f][p] = -v
+    return list(kernel.values())
 
 
 def row_space_basis(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
@@ -190,20 +181,20 @@ def row_space_basis(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], L
         return [], []
     n = len(rows[0])
     reduced, pivots = _rref([{j: Fraction(v) for j, v in enumerate(r) if v} for r in rows])
-    return [_dense(row, n) for row in reduced], pivots
+    return [[row.get(j, Fraction(0)) for j in range(n)] for row in reduced], pivots
 
 
 def reduce_mod_rows(
-    vec: Sequence[Fraction], rows: List[Dict[int, Fraction]], pivots: List[int]
-) -> List[Fraction]:
-    """Reduce ``vec`` (of ints or Fractions) modulo the row space of sparse
-    reduced echelon rows ``{column: value}`` with the given pivots."""
-    v = list(vec)
+    vec: Dict[int, Fraction], rows: List[Dict[int, Fraction]], pivots: List[int]
+) -> Dict[int, Fraction]:
+    """Reduce the sparse vector ``vec`` (``{column: value}``, ints or
+    Fractions) modulo the row space of sparse reduced echelon rows with the
+    given pivots; the result is a new sparse vector."""
+    v = dict(vec)
     for row, p in zip(rows, pivots):
-        f = v[p]
+        f = v.get(p)
         if f:
-            for j, b in row.items():
-                v[j] -= f * b
+            _subtract(v, f, row)
     return v
 
 

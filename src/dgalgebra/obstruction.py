@@ -60,13 +60,11 @@ def make_decomposition(
     algebra: AlgebraPresentation,
     mode: str = "explicit",
     v1=None,
-    degree: Optional[int] = None,
 ) -> ObstructionDecomposition:
     """Build and validate a decomposition.
 
     Modes: ``explicit`` takes the V1 names directly; ``degree`` puts every
-    generator of the given degree (default: the top one) into V1 and demands
-    nothing sits above it.
+    generator of the top degree into V1.
     """
     names = set(algebra.generator_names())
     if mode == "explicit":
@@ -74,12 +72,7 @@ def make_decomposition(
             raise InvalidDecomposition("explicit mode needs the V1 generator names")
         v1_set = set(v1)
     elif mode == "degree":
-        top = degree if degree is not None else algebra.max_generator_degree()
-        above = [n for n in names if algebra.degree_of(n) > top]
-        if above:
-            raise InvalidDecomposition(
-                f"generators {sorted(above)} exceed the split degree {top}"
-            )
+        top = algebra.max_generator_degree()
         v1_set = {n for n in names if algebra.degree_of(n) == top}
     else:
         raise InvalidDecomposition(f"unknown mode {mode!r}")

@@ -31,6 +31,8 @@ from .algebra import AlgebraPresentation, Element, Generator, Morphism
 from .errors import DgaError
 from .symbolic import SymbolicElement
 
+MAX_NESTING = 100  # levels of parentheses and unary minus signs in an expression
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -108,6 +110,7 @@ class _ExprParser:
         self.unknowns = unknowns
         self.diagnostics = diagnostics
         self.failed = False
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -190,14 +193,20 @@ class _ExprParser:
                 return SymbolicElement.unknown_times(t.text, self.algebra.one())
             self.error(t, f"unknown identifier {t.text!r}")
             return SymbolicElement.zero(self.algebra)
-        if t.kind == "symbol" and t.text == "(":
-            value = self.expression()
-            closing = self.take()
-            if not (closing.kind == "symbol" and closing.text == ")"):
-                self.error(closing, "expected ')'")
+        if t.kind == "symbol" and t.text in ("(", "-"):
+            if self.depth == MAX_NESTING:
+                self.error(t, f"expression nested deeper than {MAX_NESTING} levels")
+                return SymbolicElement.zero(self.algebra)
+            self.depth += 1
+            if t.text == "-":
+                value = -self.atom()
+            else:
+                value = self.expression()
+                closing = self.take()
+                if not (closing.kind == "symbol" and closing.text == ")"):
+                    self.error(closing, "expected ')'")
+            self.depth -= 1
             return value
-        if t.kind == "symbol" and t.text == "-":
-            return -self.atom()
         self.error(t, f"expected a term, found {t.text!r}" if t.text else "unexpected end of line")
         return SymbolicElement.zero(self.algebra)
 

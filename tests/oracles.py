@@ -241,3 +241,32 @@ def dense_reduce_mod_rows(vec, rows, pivots):
             f = v[p]
             v = [a - f * b for a, b in zip(v, row)]
     return v
+
+
+def d_matrix_by_derivation(algebra, n):
+    """The degree-n d-matrix, one ``algebra.d`` call per basis monomial."""
+    from dgalgebra.linalg import RationalMatrix
+
+    src = algebra.monomial_basis(n)
+    index = {m: i for i, m in enumerate(algebra.monomial_basis(n + 1))}
+    matrix = RationalMatrix(len(index), len(src))
+    for j, m in enumerate(src):
+        for mono, c in algebra.d(algebra.element({m: 1})).terms.items():
+            matrix.entries[index[mono], j] = c
+    return matrix
+
+
+def dense_representatives(algebra, n):
+    """Canonical H^n representatives on dense vectors: the kernel of d_n
+    reduced modulo the reduced row space of d_{n-1}^T, then put in reduced
+    echelon form."""
+    basis = algebra.monomial_basis(n)
+    if not basis:
+        return []
+    d_n = d_matrix_by_derivation(algebra, n)
+    _, kernel = dense_rref_solve(d_n.dense_rows(), d_n.cols, [0] * d_n.rows)
+    d_lower = d_matrix_by_derivation(algebra, n - 1).transpose()
+    image, pivots = dense_row_space_basis(d_lower.dense_rows())
+    reduced = [v for v in (dense_reduce_mod_rows(vec, image, pivots) for vec in kernel) if any(v)]
+    rows, _ = dense_row_space_basis(reduced)
+    return [algebra.element({m: c for m, c in zip(basis, row) if c}) for row in rows]

@@ -6,11 +6,13 @@ import pytest
 
 from dgalgebra import (
     AlgebraPresentation,
+    DegreeMismatch,
     Morphism,
     NotACocycle,
     PreconditionViolated,
     PresentationMismatch,
     WeightsMissing,
+    build_cylinder,
     cohomology_at_degree,
     induced_map,
     is_coboundary,
@@ -57,6 +59,62 @@ def test_dimension_matches_rank_computation(ex52):
         rank_n = dense_rank(d_n.dense_rows()) if dim_n else 0
         rank_lower = dense_rank(d_lower.dense_rows())
         assert result.dimension == (dim_n - rank_n) - rank_lower
+
+
+def test_differential_matrix_is_assembled_once_per_degree(monkeypatch):
+    A = parse_presentation(corpus.read("ex53.dga")).presentation
+    assembled = []
+    assemble = cohomology._assemble
+
+    def counting(algebra, n):
+        assembled.append(n)
+        return assemble(algebra, n)
+
+    monkeypatch.setattr(cohomology, "_assemble", counting)
+    for n in range(15):
+        cohomology_at_degree(A, n)
+    for n in range(-1, 15):
+        differential_matrix(A, n)
+    assert sorted(assembled) == list(range(-1, 15))
+
+
+def test_differential_matrix_returns_a_fresh_copy(two_stage):
+    first = differential_matrix(two_stage, 3)
+    assert first.entries == {(0, 0): 1}
+    first.entries[0, 0] = Fraction(99)
+    assert differential_matrix(two_stage, 3).entries == {(0, 0): 1}
+
+
+def test_setting_a_differential_clears_derived_caches():
+    A = AlgebraPresentation.unsealed([("u", 2), ("v", 3)])
+    hash(A)
+    assert cohomology_at_degree(A, 4).dimension == 1
+    A.subalgebra(["u", "v"])
+    build_cylinder(A)
+    A._set_differential("v", A.gen("u") ** 2)
+    A.seal()
+    fresh = AlgebraPresentation.build([("u", 2), ("v", 3)], lambda g: {"v": g.u**2})
+    assert cohomology_at_degree(fresh, 4).dimension == 0
+    assert cohomology_at_degree(A, 4).dimension == 0
+    assert differential_matrix(A, 3) == differential_matrix(fresh, 3)
+    assert A == fresh and hash(A) == hash(fresh)
+    assert A.subalgebra(["u", "v"]) == fresh
+    assert build_cylinder(A).total == build_cylinder(fresh).total
+
+
+def test_differential_leaving_its_degree_is_a_typed_error():
+    # d v = u^3 has degree 6, not 4
+    A = parse_presentation("generator u : 2\ngenerator v : 3\nd v = u^3\n").presentation
+    for n in (3, 4, 5):
+        with pytest.raises(DegreeMismatch):
+            cohomology_at_degree(A, n)
+
+
+def test_sub_basis_must_be_preserved_by_d(two_stage):
+    # d v = u^2: keeping v but dropping u^2 leaves d(v) outside the sub-basis
+    u2 = (two_stage.gen("u") ** 2).monomials()[0]
+    with pytest.raises(PreconditionViolated):
+        differential_matrix(two_stage, 3, allowed=lambda m: m != u2)
 
 
 def test_coboundary_witness_published_identity(ex52):

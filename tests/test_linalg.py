@@ -111,7 +111,10 @@ def test_elimination_matches_dense_reference_exactly(system):
     basis, pivots = row_space_basis(rows)
     assert (basis, pivots) == dense_row_space_basis(rows)
     sparse_basis = [{j: v for j, v in enumerate(row) if v} for row in basis]
-    assert reduce_mod_rows(vec, sparse_basis, pivots) == dense_reduce_mod_rows(vec, basis, pivots)
+    reduced = reduce_mod_rows({j: v for j, v in enumerate(vec) if v}, sparse_basis, pivots)
+    assert all(reduced.values())
+    dense = [reduced.get(j, Fraction(0)) for j in range(n_cols)]
+    assert dense == dense_reduce_mod_rows(vec, basis, pivots)
 
 
 def _check_smith(m):

@@ -7,6 +7,7 @@ import sys
 from dgalgebra import corpus, validate_presentation
 from dgalgebra.cli import main as cli_main
 from dgalgebra.parser import (
+    MAX_NESTING,
     element_to_json,
     parse_morphism,
     parse_presentation,
@@ -173,6 +174,24 @@ def test_cli_directory_argument_is_a_read_error(tmp_path):
     assert proc.returncode == 2
     assert "cannot read" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_deeply_nested_expression_is_a_parse_error(tmp_path):
+    deep = tmp_path / "deep.dga"
+    deep.write_text("generator u : 2\ngenerator v : 3\nd v = " + "(" * 3000 + "u^2" + ")" * 3000 + "\n")
+    proc = run_cli_process("check", str(deep))
+    assert proc.returncode == 2
+    assert "nested deeper than" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_expression_nesting_limit():
+    # after "0 +" every "(" and every "-" opens one nesting level
+    text = "generator u : 2\ngenerator v : 3\nd v = 0 + {}u^2{}\n"
+    for depth, ok in ((MAX_NESTING, True), (MAX_NESTING + 1, False)):
+        for opening, closing in (("(", ")"), ("- ", "")):
+            parsed = parse_presentation(text.format(opening * depth, closing * depth))
+            assert parsed.ok is ok, (depth, opening)
 
 
 def test_cli_non_utf8_file_is_a_read_error(tmp_path):

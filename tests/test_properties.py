@@ -22,12 +22,12 @@ from dgalgebra import (
 )
 from dgalgebra.algebra import extend_derivation
 from dgalgebra.classify import generic_ansatz
-from dgalgebra.cohomology import differential_matrix
+from dgalgebra.cohomology import cohomology_at_degree, differential_matrix
 from dgalgebra.errors import Obstructed
 from dgalgebra.linalg import rref_solve
 from dgalgebra.obstruction import Filtration
 from conftest import load
-from oracles import nullhomotopy_by_bar_search
+from oracles import d_matrix_by_derivation, dense_representatives, nullhomotopy_by_bar_search
 from strategies import (
     algebra_with_elements,
     elements_of,
@@ -130,6 +130,16 @@ def test_monomial_basis_spans_and_unique(algebra, draw):
     index = set(algebra.monomial_basis(x.degree())) if not x.is_zero() else set()
     for m in x.terms:
         assert m in index
+
+
+@given(minimal_algebras())
+@settings(max_examples=60)
+def test_d_matrices_and_representatives_match_the_oracles(algebra):
+    """The cached term-kernel assembly and the sparse H^n path agree exactly
+    with d applied per monomial and the dense reduction."""
+    for n in range(algebra.max_generator_degree() + 4):
+        assert differential_matrix(algebra, n) == d_matrix_by_derivation(algebra, n)
+        assert cohomology_at_degree(algebra, n).representatives == dense_representatives(algebra, n)
 
 
 # the corpus algebras have odd generators in front of generators with nonzero
