@@ -43,7 +43,7 @@ print("  f(z) =", f.images["z"])
 print("  chain map:", f.verified)
 
 print("\nsplit the generators: V0 = everything except z, V1 = {z}")
-split = make_decomposition(ex52, "explicit", v1=["z"])
+split = make_decomposition(ex52, ["z"])
 sub = split.subalgebra()
 zero_on_sub = Morphism.zero_map(sub, ex52)
 trivial_homotopy = Homotopy(build_cylinder(sub), zero_on_sub, {})

@@ -91,12 +91,6 @@ class Monomial:
     def is_unit(self) -> bool:
         return not self.factors
 
-    def exponent(self, name: str) -> int:
-        for n, e in self.factors:
-            if n == name:
-                return e
-        return 0
-
     def factor_count(self) -> int:
         """Number of generator factors counted with multiplicity."""
         return sum(e for _, e in self.factors)
@@ -409,9 +403,6 @@ class Element:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
-
     def degree(self) -> Optional[int]:
         """Common degree of all terms, or None for 0 or inhomogeneous input."""
         degs = {m.degree for m in self.terms}
@@ -426,9 +417,6 @@ class Element:
         if len(degs) != 1:
             return False
         return n is None or degs.pop() == n
-
-    def degrees(self):
-        return sorted({m.degree for m in self.terms})
 
     def monomials(self):
         return sorted(self.terms, key=self.algebra.monomial_sort_key)

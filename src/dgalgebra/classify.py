@@ -99,10 +99,6 @@ class ConstraintSystem:
     unknown_morphism: UnknownMorphism
     equations: List[Equation]
 
-    @property
-    def unknowns(self) -> List[str]:
-        return self.unknown_morphism.unknowns
-
 
 def _normalize_poly(p: Poly) -> Poly:
     """Scale to integer content one with positive leading coefficient."""
@@ -462,7 +458,7 @@ def _family_collapses(family: SolutionFamily) -> Tuple[str, Optional[dict]]:
         if img.variables():
             param_gens.append(g.name)
     try:
-        decomposition = make_decomposition(source, "explicit", v1=param_gens)
+        decomposition = make_decomposition(source, param_gens)
     except InvalidDecomposition:
         return "unknown", {"reason": "parameter generators do not split off"}
 

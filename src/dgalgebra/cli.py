@@ -25,6 +25,7 @@ from .cylinder import Homotopy, build_cylinder
 from .errors import (
     ClassificationIncomplete,
     DgaError,
+    InvalidDecomposition,
     PreconditionViolated,
     UnsupportedShape,
     WeightsMissing,
@@ -303,9 +304,10 @@ def cmd_obstruction(args) -> int:
     f = _load_morphism(args.f, source, target)
     g = _load_morphism(args.g, source, target)
     v0 = [s for s in args.v0.split(",") if s]
-    decomposition = make_decomposition(source, "explicit", v1=[
-        n for n in source.generator_names() if n not in v0
-    ])
+    unknown = set(v0) - set(source.generator_names())
+    if unknown:
+        raise InvalidDecomposition(f"unknown generators in V0: {sorted(unknown)}")
+    decomposition = make_decomposition(source, [n for n in source.generator_names() if n not in v0])
     sub = decomposition.subalgebra()
     f0 = f.restrict(sub)
     g0 = g.restrict(sub)
@@ -343,12 +345,11 @@ def cmd_family(args) -> int:
     target = _load_valid_presentation(args.target)
     f = _load_morphism(args.f, source, target)
     side = "source" if args.weights_side == "src" else "target"
-    lam = Fraction(args.lam)
-    report = verify_infinite_family(f, side, lam, args.count)
+    report = verify_infinite_family(f, side, args.lam, args.count)
     data = {
         "command": "family",
         "side": side,
-        "lambda": str(lam),
+        "lambda": str(args.lam),
         "count": args.count,
         "stage": report.stage,
         "all_distinct": report.all_distinct,
@@ -370,6 +371,14 @@ def cmd_family(args) -> int:
     )
     _emit(data, args.json, human)
     return EXIT_OK if report.all_distinct else EXIT_UNDETERMINED
+
+
+def _rational(text: str) -> Fraction:
+    """argparse type for a rational such as ``2`` or ``-3/2``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -424,7 +433,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("f")
-    p.add_argument("--lambda", dest="lam", required=True, help="scaling parameter (rational)")
+    p.add_argument("--lambda", dest="lam", type=_rational, required=True, help="scaling parameter (rational)")
     p.add_argument("--count", type=int, default=5)
     p.add_argument("--weights-side", choices=["src", "tgt"], default="tgt")
     p.set_defaults(func=cmd_family)

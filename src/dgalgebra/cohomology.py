@@ -7,7 +7,7 @@ representatives, in the same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -32,31 +32,18 @@ def _assemble(algebra: AlgebraPresentation, n: int) -> RationalMatrix:
     return matrix
 
 
-def differential_matrix(algebra: AlgebraPresentation, n: int, allowed=None) -> RationalMatrix:
+def differential_matrix(algebra: AlgebraPresentation, n: int) -> RationalMatrix:
     """Matrix of d restricted to degree n, columns indexed by the degree-n
     monomial basis and rows by the degree-(n+1) basis.
 
     The full matrix is assembled once per presentation and degree; every
-    call returns a fresh copy.  ``allowed`` restricts both bases to a
-    sub-basis that d must preserve (used for weight splitting).
+    call returns a fresh copy.
     """
     full = algebra._d_matrix_cache.get(n)
     if full is None:
         full = algebra._d_matrix_cache[n] = _assemble(algebra, n)
-    if allowed is None:
-        matrix = RationalMatrix(full.rows, full.cols)
-        matrix.entries = dict(full.entries)
-        return matrix
-    src = algebra.monomial_basis(n)
-    cols = {j: k for k, j in enumerate(j for j, m in enumerate(src) if allowed(m))}
-    target = algebra.monomial_basis(n + 1)
-    rows = {i: k for k, i in enumerate(i for i, m in enumerate(target) if allowed(m))}
-    matrix = RationalMatrix(len(rows), len(cols))
-    for (i, j), v in full.entries.items():
-        if j in cols:
-            if i not in rows:
-                raise PreconditionViolated(f"d({src[j]}) leaves the sub-basis: term {target[i]}")
-            matrix.entries[rows[i], cols[j]] = v
+    matrix = RationalMatrix(full.rows, full.cols)
+    matrix.entries = dict(full.entries)
     return matrix
 
 
@@ -72,34 +59,35 @@ class DegreeCohomology:
     degree: int
     dimension: int
     representatives: List[Element]
-
-
-def _representatives(algebra: AlgebraPresentation, n: int, allowed=None) -> List[Element]:
-    """Canonical cocycle representatives of H^n, optionally restricted to a
-    sub-basis (used for weight splitting; d preserves the restriction)."""
-    basis = [m for m in algebra.monomial_basis(n) if allowed is None or allowed(m)]
-    if not basis:
-        return []
-    # Z^n from the reduced d-matrix; B^n is the row space of the transposed
-    # d-matrix of degree n - 1
-    kernel = kernel_rows(*_echelon(differential_matrix(algebra, n, allowed)), len(basis))
-    image_rows, image_pivots = _echelon(differential_matrix(algebra, n - 1, allowed).transpose())
-    reduced = [reduce_mod_rows(vec, image_rows, image_pivots) for vec in kernel]
-    reduced = [red for red in reduced if red]
-    if not reduced:
-        return []
-    matrix = RationalMatrix(len(reduced), len(basis))
-    matrix.entries = {(i, j): v for i, red in enumerate(reduced) for j, v in red.items()}
-    rep_rows, _ = _echelon(matrix)
-    return [Element(algebra, {basis[j]: row[j] for j in sorted(row)}) for row in rep_rows]
+    # sparse echelon rows and pivots over the degree-n basis index
+    _boundaries: Tuple[List[Dict[int, Fraction]], List[int]] = field(repr=False)
+    _rep_rows: Tuple[List[Dict[int, Fraction]], List[int]] = field(repr=False)
 
 
 def cohomology_at_degree(algebra: AlgebraPresentation, n: int) -> DegreeCohomology:
+    """H^n with canonical representatives, computed once per presentation
+    and degree.
+
+    Z^n is read off the echelon rows of d_n and B^n is the echelon form of
+    the transposed d-matrix of degree n - 1; the representatives are the
+    echelon rows of the kernel vectors reduced modulo B^n.  Both echelon
+    forms are kept for ``class_coordinates``.
+    """
     cached = algebra._cohomology_cache.get(n)
     if cached is not None:
         return cached
-    reps = _representatives(algebra, n)
-    result = DegreeCohomology(algebra, n, len(reps), reps)
+    basis = algebra.monomial_basis(n)
+    boundaries = rep_rows = ([], [])
+    if basis:
+        kernel = kernel_rows(*_echelon(differential_matrix(algebra, n)), len(basis))
+        boundaries = _echelon(differential_matrix(algebra, n - 1).transpose())
+        reduced = [red for red in (reduce_mod_rows(vec, *boundaries) for vec in kernel) if red]
+        if reduced:
+            matrix = RationalMatrix(len(reduced), len(basis))
+            matrix.entries = {(i, j): v for i, red in enumerate(reduced) for j, v in red.items()}
+            rep_rows = _echelon(matrix)
+    reps = [Element(algebra, {basis[j]: row[j] for j in sorted(row)}) for row in rep_rows[0]]
+    result = DegreeCohomology(algebra, n, len(reps), reps, boundaries, rep_rows)
     algebra._cohomology_cache[n] = result
     return result
 
@@ -132,25 +120,23 @@ def is_coboundary(algebra: AlgebraPresentation, z: Element) -> Optional[Element]
 def class_coordinates(
     target: AlgebraPresentation, x: Element, n: int
 ) -> List[Fraction]:
-    """Coordinates of the class of cocycle ``x`` in the canonical H^n basis."""
+    """Coordinates of the class of cocycle ``x`` in the canonical H^n basis.
+
+    Reduced modulo the B^n echelon rows, a cocycle is a combination of the
+    representatives, whose echelon rows give its coordinates at their
+    pivots; any other remainder means ``x`` is not a cocycle.
+    """
     if x.algebra != target:
         raise PresentationMismatch("element belongs to a different presentation")
     if not x.is_homogeneous(n):
         raise NotACocycle(f"element is not homogeneous of degree {n}")
-    reps = cohomology_at_degree(target, n).representatives
+    h = cohomology_at_degree(target, n)
     index = {m: i for i, m in enumerate(target.monomial_basis(n))}
-    # columns: the representatives, then d of each degree-(n-1) monomial
-    d_lower = differential_matrix(target, n - 1)
-    k = len(reps)
-    matrix = RationalMatrix(d_lower.rows, k + d_lower.cols)
-    matrix.entries = {(i, j + k): v for (i, j), v in d_lower.entries.items()}
-    for j, r in enumerate(reps):
-        for m, c in r.terms.items():
-            matrix.entries[index[m], j] = c
-    sol, _ = rref_solve(matrix, [x.terms.get(m, 0) for m in target.monomial_basis(n)])
-    if sol is None:
+    rest = reduce_mod_rows({index[m]: c for m, c in x.terms.items()}, *h._boundaries)
+    coordinates = [Fraction(rest.get(p, 0)) for p in h._rep_rows[1]]
+    if reduce_mod_rows(rest, *h._rep_rows):
         raise NotACocycle("element is not a cocycle modulo coboundaries")
-    return sol[:k]
+    return coordinates
 
 
 def induced_map(f: Morphism, n: int):
@@ -191,10 +177,10 @@ def weight_split_cohomology(
 ) -> Dict[int, List[Element]]:
     """Split H^n by second degree i = weight - n.
 
-    Requires a full weight assignment; the differential preserves weights on
-    validated assignments, so the cochain complex splits and the per-weight
-    representative lists together form a basis of H^n.  For n >= 1 and
-    positive weights only i > -n occurs.
+    Requires a full weight assignment with weight-homogeneous d(g).  Then
+    d is block-diagonal by weight, so every canonical H^n representative is
+    weight-homogeneous and the split groups them by weight, in ascending
+    order.  For n >= 1 and positive weights only i > -n occurs.
     """
     if not algebra.has_weights():
         raise WeightsMissing("all generators need weights for a weight split")
@@ -204,15 +190,15 @@ def weight_split_cohomology(
                 raise WeightsMissing(
                     f"d({g.name}) is not homogeneous of weight {g.weight}: term {m}"
                 )
-    weights = sorted({monomial_weight(algebra, m) for m in algebra.monomial_basis(n)})
     out: Dict[int, List[Element]] = {}
-    for w in weights:
-        reps = _representatives(
-            algebra, n, allowed=lambda m, w=w: monomial_weight(algebra, m) == w
-        )
-        if reps:
-            out[w - n] = reps
-    return out
+    for rep in cohomology_at_degree(algebra, n).representatives:
+        weights = {monomial_weight(algebra, m) for m in rep.terms}
+        if len(weights) != 1:
+            raise PreconditionViolated(
+                f"internal inconsistency: representative {rep} is not weight-homogeneous"
+            )
+        out.setdefault(weights.pop() - n, []).append(rep)
+    return dict(sorted(out.items()))
 
 
 def nilpotency_witness(

@@ -72,12 +72,6 @@ class CylinderAlgebra:
         self._gamma_images: Dict[str, Element] = {}
         self._alpha_gen: Dict[str, Element] = {}
 
-    # -- inclusions -----------------------------------------------------------
-
-    def include(self, x: Element) -> Element:
-        """Inclusion of the base into the cylinder."""
-        return transfer_element(x, self.total)
-
     # -- derivations ------------------------------------------------------------
 
     def i(self, x: Element) -> Element:
@@ -189,9 +183,6 @@ class Homotopy:
                 images[self.cylinder.hat_name[g.name]] = self.target.d(bar)
             self._morphism = Morphism(self.cylinder.total, self.target, images)
         return self._morphism
-
-    def apply(self, x: Element) -> Element:
-        return self.as_morphism().apply(x)
 
     def end(self) -> Morphism:
         if self._end is None:

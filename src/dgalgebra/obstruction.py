@@ -56,27 +56,11 @@ class ObstructionDecomposition:
         return [g.name for g in self.algebra.generators if g.name in self.v0]
 
 
-def make_decomposition(
-    algebra: AlgebraPresentation,
-    mode: str = "explicit",
-    v1=None,
-) -> ObstructionDecomposition:
-    """Build and validate a decomposition.
-
-    Modes: ``explicit`` takes the V1 names directly; ``degree`` puts every
-    generator of the top degree into V1.
-    """
+def make_decomposition(algebra: AlgebraPresentation, v1) -> ObstructionDecomposition:
+    """Build and validate the decomposition with the V1 generator names
+    ``v1``; every other generator is in V0."""
     names = set(algebra.generator_names())
-    if mode == "explicit":
-        if v1 is None:
-            raise InvalidDecomposition("explicit mode needs the V1 generator names")
-        v1_set = set(v1)
-    elif mode == "degree":
-        top = algebra.max_generator_degree()
-        v1_set = {n for n in names if algebra.degree_of(n) == top}
-    else:
-        raise InvalidDecomposition(f"unknown mode {mode!r}")
-
+    v1_set = set(v1)
     unknown = v1_set - names
     if unknown:
         raise InvalidDecomposition(f"unknown generators in V1: {sorted(unknown)}")
@@ -317,7 +301,7 @@ def _extend_by_stages(
             f.restrict(sub_prev),
             {n: bars[n] for n in processed},
         )
-        decomposition = make_decomposition(sub_cur, "explicit", v1=new)
+        decomposition = make_decomposition(sub_cur, new)
         try:
             extended = extend_to_homotopy(
                 f.restrict(sub_cur), g.restrict(sub_cur), h_prev, decomposition
@@ -449,7 +433,7 @@ def decide_homotopic(f: Morphism, g: Morphism) -> HomotopyDecision:
         if not (f.images[n].is_zero() and g.images[n].is_zero())
     ]
     try:
-        decomposition = make_decomposition(source, "explicit", v1=v1)
+        decomposition = make_decomposition(source, v1)
     except InvalidDecomposition:
         pass
     else:

@@ -267,6 +267,8 @@ def verify_infinite_family(f: Morphism, side: str, lam, count: int) -> InfiniteF
     certified through the obstruction of the normalised map, whose weight
     components scale by exactly lambda**(i*w) - lambda**(j*w).
     """
+    if count < 1:
+        raise PreconditionViolated(f"count must be at least 1, not {count}")
     lam = Fraction(lam)
     if lam in (0, 1, -1):
         raise PreconditionViolated("lambda must avoid 0, 1 and -1")

@@ -256,17 +256,57 @@ def d_matrix_by_derivation(algebra, n):
     return matrix
 
 
-def dense_representatives(algebra, n):
+def _dense_block(algebra, n, allowed):
+    """Dense d_n on the allowed monomials: columns of degree n, rows of
+    degree n + 1."""
+    rows = d_matrix_by_derivation(algebra, n).dense_rows()
+    cols = [j for j, m in enumerate(algebra.monomial_basis(n)) if allowed(m)]
+    targets = algebra.monomial_basis(n + 1)
+    return [[row[j] for j in cols] for row, m in zip(rows, targets) if allowed(m)]
+
+
+def dense_representatives(algebra, n, allowed=lambda m: True):
     """Canonical H^n representatives on dense vectors: the kernel of d_n
     reduced modulo the reduced row space of d_{n-1}^T, then put in reduced
-    echelon form."""
-    basis = algebra.monomial_basis(n)
+    echelon form.  ``allowed`` restricts every degree to a sub-basis that d
+    preserves."""
+    basis = [m for m in algebra.monomial_basis(n) if allowed(m)]
     if not basis:
         return []
-    d_n = d_matrix_by_derivation(algebra, n)
-    _, kernel = dense_rref_solve(d_n.dense_rows(), d_n.cols, [0] * d_n.rows)
-    d_lower = d_matrix_by_derivation(algebra, n - 1).transpose()
-    image, pivots = dense_row_space_basis(d_lower.dense_rows())
+    d_n = _dense_block(algebra, n, allowed)
+    _, kernel = dense_rref_solve(d_n, len(basis), [0] * len(d_n))
+    d_lower = [list(col) for col in zip(*_dense_block(algebra, n - 1, allowed))]
+    image, pivots = dense_row_space_basis(d_lower)
     reduced = [v for v in (dense_reduce_mod_rows(vec, image, pivots) for vec in kernel) if any(v)]
     rows, _ = dense_row_space_basis(reduced)
     return [algebra.element({m: c for m, c in zip(basis, row) if c}) for row in rows]
+
+
+def weight_split_by_restriction(algebra, n):
+    """H^n split by weight - n, computed separately on each weight's
+    sub-basis of the cochain complex."""
+
+    def weight(m):
+        return sum(algebra.generator(name).weight * e for name, e in m.factors)
+
+    out = {}
+    for w in sorted({weight(m) for m in algebra.monomial_basis(n)}):
+        reps = dense_representatives(algebra, n, lambda m: weight(m) == w)
+        if reps:
+            out[w - n] = reps
+    return out
+
+
+def class_coordinates_by_solve(algebra, x, n):
+    """Coordinates of [x] over the library's H^n representatives from one
+    dense solve of ``[representatives | d_{n-1}] c = x``; None when x is
+    not a cocycle."""
+    from dgalgebra.cohomology import cohomology_at_degree
+
+    reps = cohomology_at_degree(algebra, n).representatives
+    basis = algebra.monomial_basis(n)
+    d_lower = _dense_block(algebra, n - 1, lambda m: True)
+    columns = [[r.terms.get(m, Fraction(0)) for r in reps] for m in basis]
+    rows = [rep_part + d_part for rep_part, d_part in zip(columns, d_lower)]
+    solution = dense_solve(rows, [x.terms.get(m, Fraction(0)) for m in basis]) if rows else []
+    return None if solution is None else solution[: len(reps)]

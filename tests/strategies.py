@@ -83,6 +83,44 @@ def minimal_algebras(draw, max_gens=4, max_degree=7):
 
 
 @st.composite
+def weighted_two_stage_algebras(draw, max_closed=3, max_top=2):
+    """A random minimal presentation with positive weights in two stages.
+
+    Stage 0 generators are closed.  Each stage 1 generator of degree k gets
+    a random combination of the decomposable stage 0 monomials of degree
+    k + 1 that share one weight, and takes that weight, so d is
+    weight-homogeneous and d*d = 0 holds by construction.
+    """
+    closed = [
+        (f"a{i}", draw(st.integers(min_value=2, max_value=5)), draw(st.integers(min_value=1, max_value=3)))
+        for i in range(draw(st.integers(min_value=1, max_value=max_closed)))
+    ]
+    base = AlgebraPresentation.build(closed)
+
+    def weight(m):
+        return sum(base.generator(name).weight * e for name, e in m.factors)
+
+    specs, images = list(closed), {}
+    for i in range(draw(st.integers(min_value=1, max_value=max_top))):
+        name, degree = f"b{i}", draw(st.integers(min_value=3, max_value=9))
+        candidates = [m for m in base.monomial_basis(degree + 1) if m.factor_count() >= 2]
+        if not candidates:
+            specs.append((name, degree, draw(st.integers(min_value=1, max_value=3))))
+            continue
+        w = weight(draw(st.sampled_from(candidates)))
+        block = [m for m in candidates if weight(m) == w]
+        coeffs = draw(st.lists(rationals, min_size=len(block), max_size=len(block)))
+        specs.append((name, degree, w))
+        images[name] = {m: c for m, c in zip(block, coeffs) if c}
+    algebra = AlgebraPresentation.unsealed(specs, label="weighted")
+    for name, terms in images.items():
+        algebra._set_differential(name, algebra.element(terms))
+    algebra.seal()
+    assert validate_presentation(algebra).ok
+    return algebra
+
+
+@st.composite
 def elements_of(draw, algebra, max_degree=None, homogeneous=False):
     top = max_degree or (algebra.max_generator_degree() + 3)
     if homogeneous:

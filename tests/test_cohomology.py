@@ -110,13 +110,6 @@ def test_differential_leaving_its_degree_is_a_typed_error():
             cohomology_at_degree(A, n)
 
 
-def test_sub_basis_must_be_preserved_by_d(two_stage):
-    # d v = u^2: keeping v but dropping u^2 leaves d(v) outside the sub-basis
-    u2 = (two_stage.gen("u") ** 2).monomials()[0]
-    with pytest.raises(PreconditionViolated):
-        differential_matrix(two_stage, 3, allowed=lambda m: m != u2)
-
-
 def test_coboundary_witness_published_identity(ex52):
     g = ex52.namespace()
     witness = is_coboundary(ex52, g.x2**13)
@@ -205,6 +198,14 @@ def test_weight_split_dimensions_add(two_stage):
                     for m in rep.terms
                 }
                 assert weights == {n + i}
+
+
+def test_weight_split_rechecks_the_representatives(monkeypatch):
+    A = AlgebraPresentation.build([("x", 2, 1), ("y", 2, 2)], label="w2")
+    g = A.namespace()
+    monkeypatch.setattr(cohomology_at_degree(A, 2), "representatives", [g.x + g.y])
+    with pytest.raises(PreconditionViolated, match="internal inconsistency"):
+        weight_split_cohomology(A, 2)
 
 
 def test_weight_split_rejects_weight_inhomogeneous_differential():

@@ -27,9 +27,7 @@ from oracles import nullhomotopy_by_bar_search
 
 
 def v0_split(algebra):
-    return make_decomposition(
-        algebra, "explicit", v1=[n for n in algebra.generator_names() if n == "z"]
-    )
+    return make_decomposition(algebra, [n for n in algebra.generator_names() if n == "z"])
 
 
 def case_one_member(ex52, lam2=1, lam3=2, nu2=3, nu3=5):
@@ -55,13 +53,16 @@ def test_published_split_is_valid(ex52):
 
 
 def test_degree_decomposition_at_top(ex51):
-    decomposition = make_decomposition(ex51, "degree")
+    top = ex51.max_generator_degree()
+    decomposition = make_decomposition(
+        ex51, [n for n in ex51.generator_names() if ex51.degree_of(n) == top]
+    )
     assert set(decomposition.v1) == {"z"}
 
 
 def test_invalid_tagging_detected(ex51):
     with pytest.raises(InvalidDecomposition) as err:
-        make_decomposition(ex51, "explicit", v1=["y1", "x1"])
+        make_decomposition(ex51, ["y1", "x1"])
     assert "x1" in str(err.value)
 
 
@@ -171,7 +172,7 @@ def test_extension_constant(ex53):
 def test_extension_obstructed_small():
     source = AlgebraPresentation.build([("w", 2)], label="free")
     target = AlgebraPresentation.build([("x", 2)], label="free2")
-    decomposition = make_decomposition(source, "explicit", v1=["w"])
+    decomposition = make_decomposition(source, ["w"])
     f = Morphism(source, target, {"w": target.gen("x")})
     g = Morphism.zero_map(source, target)
     empty = source.subalgebra([])
@@ -210,7 +211,7 @@ def test_zero_vs_zero(ex51):
 def test_essential_class_detected():
     source = AlgebraPresentation.build([("w", 2)], label="free")
     target = AlgebraPresentation.build([("x", 2)], label="free2")
-    decomposition = make_decomposition(source, "explicit", v1=["w"])
+    decomposition = make_decomposition(source, ["w"])
     f = Morphism(source, target, {"w": target.gen("x")})
     g = Morphism.zero_map(source, target)
     decision = decide_homotopic_zero_restriction(f, g, decomposition)
@@ -240,7 +241,7 @@ def homotopy_choice_instance():
 
 def test_nonzero_obstruction_for_homotopic_maps():
     source, target, f = homotopy_choice_instance()
-    decomposition = make_decomposition(source, "explicit", v1=["w"])
+    decomposition = make_decomposition(source, ["w"])
     sub = decomposition.subalgebra()
     mu = Fraction(1)
     h = Homotopy(build_cylinder(sub), f.restrict(sub), {"a": mu * target.gen("s")})

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from dgalgebra import corpus, validate_presentation
 from dgalgebra.cli import main as cli_main
 from dgalgebra.parser import (
@@ -341,6 +343,35 @@ def test_cli_family():
     factors = {(p["i"], p["j"]): p["scale_factor"] for p in data["pairs"]}
     assert factors[(0, 1)] == "-3"
     assert factors[(4, 5)] == "-768"
+
+
+FAMILY_ARGS = ("family", "free_even.dga", "free_even_weighted.dga", "w_to_x.map")
+
+
+@pytest.mark.parametrize("lam", ["1/0", "abc"])
+def test_cli_family_bad_lambda_is_a_usage_error(lam):
+    proc = run_cli_process(*FAMILY_ARGS, "--lambda", lam)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr and "not a rational number" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_family_needs_a_positive_count():
+    proc = run_cli_process(*FAMILY_ARGS, "--lambda", "2", "--count", "0")
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "count must be at least 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_obstruction_rejects_unknown_v0_names():
+    code, out, err = run_cli(
+        "obstruction", "ex53.dga", "ex53.dga", "ex53_id.map", "ex53_id.map",
+        "--v0", "x1,x2,y1,y2,y3,bogus", "--json",
+    )
+    assert code == 3
+    assert out == ""
+    assert "unknown generators in V0: ['bogus']" in err
 
 
 def test_cli_classify_infinite():

@@ -8,6 +8,7 @@ homotopies.  Every test asserts an exact identity.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,12 +23,23 @@ from dgalgebra import (
 )
 from dgalgebra.algebra import extend_derivation
 from dgalgebra.classify import generic_ansatz
-from dgalgebra.cohomology import cohomology_at_degree, differential_matrix
-from dgalgebra.errors import Obstructed
+from dgalgebra.cohomology import (
+    class_coordinates,
+    cohomology_at_degree,
+    differential_matrix,
+    weight_split_cohomology,
+)
+from dgalgebra.errors import NotACocycle, Obstructed
 from dgalgebra.linalg import rref_solve
 from dgalgebra.obstruction import Filtration
 from conftest import load
-from oracles import d_matrix_by_derivation, dense_representatives, nullhomotopy_by_bar_search
+from oracles import (
+    class_coordinates_by_solve,
+    d_matrix_by_derivation,
+    dense_representatives,
+    nullhomotopy_by_bar_search,
+    weight_split_by_restriction,
+)
 from strategies import (
     algebra_with_elements,
     elements_of,
@@ -35,6 +47,7 @@ from strategies import (
     points,
     rationals,
     symbolic_elements_of,
+    weighted_two_stage_algebras,
 )
 
 
@@ -140,6 +153,55 @@ def test_d_matrices_and_representatives_match_the_oracles(algebra):
     for n in range(algebra.max_generator_degree() + 4):
         assert differential_matrix(algebra, n) == d_matrix_by_derivation(algebra, n)
         assert cohomology_at_degree(algebra, n).representatives == dense_representatives(algebra, n)
+
+
+ALGEBRAS = st.one_of(minimal_algebras(), weighted_two_stage_algebras())
+
+
+def _draw_homogeneous(draw, algebra, n):
+    basis = algebra.monomial_basis(n)
+    coeffs = draw(st.lists(rationals, min_size=len(basis), max_size=len(basis)))
+    return algebra.element({m: c for m, c in zip(basis, coeffs) if c})
+
+
+@given(ALGEBRAS, st.data())
+@settings(max_examples=80)
+def test_class_coordinates_of_a_combination_of_representatives(algebra, data):
+    """For x = sum c_i r_i + d(w), the coordinates are exactly c and agree
+    with one solve of [representatives | d_{n-1}]."""
+    n = data.draw(st.integers(min_value=1, max_value=algebra.max_generator_degree() + 3))
+    reps = cohomology_at_degree(algebra, n).representatives
+    coords = data.draw(st.lists(rationals, min_size=len(reps), max_size=len(reps)))
+    x = algebra.d(_draw_homogeneous(data.draw, algebra, n - 1))
+    for c, r in zip(coords, reps):
+        x = x + c * r
+    assert class_coordinates(algebra, x, n) == coords
+    assert class_coordinates_by_solve(algebra, x, n) == coords
+
+
+@given(ALGEBRAS, st.data())
+@settings(max_examples=80)
+def test_class_coordinates_match_the_solve_on_any_element(algebra, data):
+    """A homogeneous element either gets the solve's coordinates or, when
+    it is not a cocycle, raises NotACocycle."""
+    n = data.draw(st.integers(min_value=1, max_value=algebra.max_generator_degree() + 3))
+    y = _draw_homogeneous(data.draw, algebra, n)
+    expected = class_coordinates_by_solve(algebra, y, n)
+    assert (expected is None) == (not algebra.d(y).is_zero())
+    if expected is None:
+        with pytest.raises(NotACocycle):
+            class_coordinates(algebra, y, n)
+    else:
+        assert class_coordinates(algebra, y, n) == expected
+
+
+@given(weighted_two_stage_algebras())
+@settings(max_examples=40)
+def test_weight_split_matches_the_restricted_computation(algebra):
+    for n in range(1, algebra.max_generator_degree() + 4):
+        split = weight_split_cohomology(algebra, n)
+        assert split == weight_split_by_restriction(algebra, n)
+        assert list(split) == sorted(split)
 
 
 # the corpus algebras have odd generators in front of generators with nonzero
@@ -251,7 +313,7 @@ def valid_split(draw, algebra):
     )
     v1 = set(chosen)
     assume(v1)
-    return make_decomposition(algebra, "explicit", v1=v1)
+    return make_decomposition(algebra, v1)
 
 
 @given(minimal_algebras(max_gens=4, max_degree=7), st.data())

@@ -10,7 +10,6 @@ returns.
 
 import ast
 import re
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,19 +65,40 @@ def _public_definitions():
                         yield path.relative_to(SRC), d.name
 
 
+def _references(tree: ast.AST):
+    """Names a module refers to: ``ast.Name`` ids, ``ast.Attribute``
+    attributes and imported names (and their aliases)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+            if node.asname:
+                yield node.asname
+
+
+def _readme_code_words():
+    """Words inside the README's fenced code blocks and inline code spans."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.S):
+        yield from re.findall(r"\w+", block)
+
+
 def test_every_public_name_is_referenced():
-    """Each public name occurs as a word somewhere besides its definitions:
-    in the sources, tests, demos, bench or README.  Re-exports from the
+    """Each public name is referenced in code: as a name, an attribute or
+    an import in the sources, tests, demos or bench, or inside a README code
+    span.  Definitions, comments, docstrings and re-exports from the
     package ``__init__`` do not count as a use."""
-    files = [ROOT / "README.md"]
+    files = []
     for folder in ("src", "tests", "demos", "bench"):
         files.extend((ROOT / folder).rglob("*.py"))
-    words = Counter()
+    uses = set(_readme_code_words())
     for path in files:
         if path != SRC / "__init__.py":
-            words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+            uses.update(_references(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
     defined = list(_public_definitions())
-    definitions = Counter(name for _, name in defined)
-    unused = [f"{path}:{name}" for path, name in defined if words[name] <= definitions[name]]
+    unused = [f"{path}:{name}" for path, name in defined if name not in uses]
     assert defined
     assert unused == []
