@@ -3,13 +3,16 @@
 Conventions fixed by this module and relied on everywhere else:
 
 * Coefficients are exact ``fractions.Fraction`` values.  No floats.
-* Generators are totally ordered by ``(degree, name)``.  Monomials keep
-  their factors sorted in that order, so two equal elements always have
-  identical term dictionaries (canonical form).
+* Generators are totally ordered by ``(degree, name)``.  A monomial is a
+  tuple of exponents over its presentation's generators in that order, so
+  two equal elements always have identical term dictionaries (canonical
+  form).  Its ``(name, exponent)`` factors and printed text are derived
+  views; monomials of another presentation (a subalgebra, the cylinder)
+  are re-indexed by name, never mixed in one term dict.
 * Transposing two adjacent factors of degrees ``p`` and ``q`` multiplies
   a monomial by ``(-1)**(p*q)``.  Consequently an odd-degree generator
   squares to zero, and only inversions between odd factors contribute to
-  the normalisation sign.
+  the normalisation sign, which is read off bitmasks of odd generators.
 * A derivation of (degree) parity ``e`` satisfies
   ``theta(a*b) = theta(a)*b + (-1)**(e*|a|) * a*theta(b)``;
   the differential is the parity-1 instance.
@@ -17,11 +20,15 @@ Conventions fixed by this module and relied on everywhere else:
 Every sum, Koszul product, power, derivation and multiplicative extension
 of generator images on term dicts ``{Monomial: coefficient}`` goes through
 one kernel, the private ``_add_terms``, ``_mul_terms``, ``_power``,
-``_derive_terms`` and ``_extend_terms`` below.  It uses only ``+``, ``*``
-(also by an ``int``), unary ``-`` and truthiness of the coefficients, so
-``Element``, ``Morphism`` and the cylinder's ``alpha`` (``Fraction``
-coefficients) share it with ``symbolic.SymbolicElement`` and the generic
-ansatz (``symbolic.Poly`` coefficients); ``Poly`` reuses its sum and power.
+``_derive_terms`` and ``_extend_terms`` below, on exponent vectors: a
+product adds vectors, and a derivation puts the vector of each term of
+``theta(g)`` in place of one copy of ``g``.  ``normalize_monomial`` is only
+the entry point for raw ``(name, exponent)`` lists.  The kernel uses only
+``+``, ``*`` (also by an ``int``), unary ``-`` and truthiness of the
+coefficients, so ``Element``, ``Morphism`` and the cylinder's ``alpha``
+(``Fraction`` coefficients) share it with ``symbolic.SymbolicElement`` and
+the generic ansatz (``symbolic.Poly`` coefficients); ``Poly`` reuses its
+sum and power.
 
 Values are immutable once built: presentations, elements and morphisms can
 be shared freely between threads.
@@ -30,6 +37,7 @@ be shared freely between threads.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -39,6 +47,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .errors import (
     DegreeMismatch,
     DgaError,
+    PreconditionViolated,
     PresentationMismatch,
     UnknownGenerator,
 )
@@ -78,36 +87,58 @@ class Generator:
         return (self.degree, self.name)
 
 
-@dataclass(frozen=True)
 class Monomial:
-    """A canonical monomial: factors sorted by generator order, exponents >= 1.
+    """A canonical monomial of one presentation.
 
-    The empty factor tuple is the unit and has degree 0.
+    ``exponents`` holds one exponent per generator of the presentation, in
+    generator order, and ``generators`` is that presentation's generator
+    tuple; an odd generator has exponent 0 or 1.  ``odd`` is the bitmask of
+    the odd generators present (bit ``i`` for generator ``i``).  The unit
+    has all exponents 0 and degree 0.  ``factors``, the printed form and the
+    sort key are derived from the exponents and the generator names.
     """
 
-    factors: tuple
-    degree: int
+    __slots__ = ("exponents", "degree", "odd", "generators", "_hash")
+
+    def __init__(self, exponents: tuple, degree: int, odd: int, generators: tuple):
+        self.exponents = exponents
+        self.degree = degree
+        self.odd = odd
+        self.generators = generators
+        self._hash = hash(exponents)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        return self.exponents == other.exponents and (
+            self.generators is other.generators or self.generators == other.generators
+        )
+
+    @property
+    def factors(self) -> tuple:
+        """``((name, exponent), ...)`` in generator order, exponents >= 1."""
+        return tuple((g.name, e) for g, e in zip(self.generators, self.exponents) if e)
 
     def is_unit(self) -> bool:
-        return not self.factors
+        return not self.degree
 
     def factor_count(self) -> int:
         """Number of generator factors counted with multiplicity."""
-        return sum(e for _, e in self.factors)
+        return sum(self.exponents)
 
     def generator_names(self):
-        return [n for n, _ in self.factors]
+        return [g.name for g, e in zip(self.generators, self.exponents) if e]
 
     def __str__(self) -> str:
-        if not self.factors:
+        if not self.degree:
             return "1"
-        parts = []
-        for n, e in self.factors:
-            parts.append(n if e == 1 else f"{n}^{e}")
-        return "*".join(parts)
+        return "*".join(n if e == 1 else f"{n}^{e}" for n, e in self.factors)
 
-
-UNIT_MONOMIAL = Monomial((), 0)
+    def __repr__(self):
+        return f"Monomial(factors={self.factors!r}, degree={self.degree!r})"
 
 
 def _as_fraction(c) -> Fraction:
@@ -137,6 +168,7 @@ class AlgebraPresentation:
         "_cohomology_cache",
         "_d_matrix_cache",
         "_cylinder",
+        "_unit",
         "label",
     )
 
@@ -151,11 +183,12 @@ class AlgebraPresentation:
         self._diff = {}
         self._frozen = False
         self._hash = None
-        self._basis_cache = {}
         self._sub_cache = {}
         self._cohomology_cache = {}
         self._d_matrix_cache = {}
         self._cylinder = None
+        self._unit = Monomial((0,) * len(gens), 0, 0, self.generators)
+        self._basis_cache = {0: [self._unit]}
         self.label = label
 
     # -- construction ------------------------------------------------------
@@ -220,7 +253,7 @@ class AlgebraPresentation:
 
     def _structure(self):
         diff_items = tuple(
-            sorted((n, tuple(sorted(img.terms.items(), key=lambda kv: kv[0].factors)))
+            sorted((n, tuple(sorted(img.terms.items(), key=lambda kv: kv[0].exponents)))
                    for n, img in self._diff.items())
         )
         return (self.generators, diff_items)
@@ -271,19 +304,27 @@ class AlgebraPresentation:
         return Element(self, {})
 
     def one(self) -> "Element":
-        return Element(self, {UNIT_MONOMIAL: Fraction(1)})
+        return Element(self, {self._unit: Fraction(1)})
 
     def scalar(self, c) -> "Element":
         c = _as_fraction(c)
-        return Element(self, {UNIT_MONOMIAL: c} if c else {})
+        return Element(self, {self._unit: c} if c else {})
 
     def gen(self, name: str) -> "Element":
         g = self.generator(name)
-        return Element(self, {Monomial(((name, 1),), g.degree): Fraction(1)})
+        i = self._order[name]
+        exponents = (0,) * i + (1,) + (0,) * (len(self.generators) - i - 1)
+        return Element(self, {Monomial(exponents, g.degree, g.is_odd << i, self.generators): Fraction(1)})
 
     def element(self, terms: Mapping[Monomial, Fraction]) -> "Element":
-        clean = {m: _as_fraction(c) for m, c in terms.items()}
-        return Element(self, {m: c for m, c in clean.items() if c})
+        """The element with the given terms; a monomial of another
+        presentation is matched to this one's generators by name."""
+        clean = {}
+        for m, c in terms.items():
+            c = _as_fraction(c)
+            if c:
+                clean[m if m.generators is self.generators else _reindex(m, self)] = c
+        return Element(self, clean)
 
     # -- differential --------------------------------------------------------
 
@@ -302,41 +343,45 @@ class AlgebraPresentation:
     # -- monomial bases -------------------------------------------------------
 
     def monomial_basis(self, n: int) -> list:
-        """All canonical monomials of total degree exactly ``n``, in a fixed order."""
+        """All canonical monomials of total degree exactly ``n``, in the
+        order of :meth:`monomial_sort_key`.
+
+        Each degree is built from the bases below it and cached: a monomial
+        whose first generator is ``g_i``, with exponent ``a``, is
+        ``g_i**a`` times a monomial of degree ``n - a*|g_i|`` in the later
+        generators.  Those form a suffix of the sorted lower basis, and
+        taking ``i`` and then ``a`` in increasing order yields the sorted
+        basis without a sort.
+        """
         if n < 0:
             return []
-        cached = self._basis_cache.get(n)
+        cache = self._basis_cache
+        cached = cache.get(n)
         if cached is not None:
             return cached
-        out = []
-
-        def extend(idx, remaining, picked):
-            if remaining == 0:
-                factors = tuple((g.name, e) for g, e in picked)
-                out.append(Monomial(factors, n))
-                return
-            if idx == len(self.generators):
-                return
-            g = self.generators[idx]
-            if g.degree > remaining:
-                # generators are degree-sorted; nothing later fits either
-                return
-            extend(idx + 1, remaining, picked)
-            if g.is_odd:
-                extend(idx + 1, remaining - g.degree, picked + [(g, 1)])
-            else:
-                e = 1
-                while e * g.degree <= remaining:
-                    extend(idx + 1, remaining - e * g.degree, picked + [(g, e)])
-                    e += 1
-
-        extend(0, n, [])
-        out.sort(key=self.monomial_sort_key)
-        self._basis_cache[n] = out
-        return out
+        gens = self.generators
+        for k in range(1, n + 1):
+            if k in cache:
+                continue
+            out = []
+            for i, g in enumerate(gens):
+                if g.degree > k:
+                    break
+                bit = g.is_odd << i
+                for a in range(1, 2 if bit else k // g.degree + 1):
+                    lower = cache[k - a * g.degree]
+                    start = bisect_right(lower, i, key=_first_index)
+                    for m in lower[start:]:
+                        e = m.exponents
+                        out.append(Monomial(e[:i] + (a,) + e[i + 1 :], k, m.odd | bit, gens))
+            cache[k] = out
+        return cache[n]
 
     def monomial_sort_key(self, m: Monomial):
-        return (m.degree, tuple((self._order[n], e) for n, e in m.factors))
+        """Degree first; within a degree, at the first generator where two
+        monomials differ, the one with the smaller nonzero exponent there
+        comes first and a zero exponent comes last."""
+        return (m.degree, tuple((i, e) for i, e in enumerate(m.exponents) if e))
 
     # -- subalgebras ------------------------------------------------------------
 
@@ -379,14 +424,36 @@ def transfer_element(x: "Element", target: AlgebraPresentation) -> "Element":
     Degrees must agree; used for subalgebra inclusions and cylinder bases,
     where the generator sets genuinely overlap.
     """
-    terms = {}
-    for m, c in x.terms.items():
-        for n, _ in m.factors:
-            g = target.generator(n)
-            if g.degree != x.algebra.degree_of(n):
-                raise DegreeMismatch(f"generator {n} changes degree in transfer")
-        terms[m] = c
-    return Element(target, terms)
+    return Element(target, {_reindex(m, target): c for m, c in x.terms.items()})
+
+
+def _reindex(m: Monomial, target: AlgebraPresentation) -> Monomial:
+    """``m`` over the generators of ``target`` with the same names.
+
+    Both generator tuples are sorted by ``(degree, name)``, so the shared
+    generators keep their relative order and no sign arises.
+    """
+    exponents = [0] * len(target.generators)
+    odd = 0
+    for g, e in zip(m.generators, m.exponents):
+        if e:
+            i = target._order.get(g.name)
+            if i is None:
+                raise UnknownGenerator(g.name)
+            if target.generators[i].degree != g.degree:
+                raise DegreeMismatch(f"generator {g.name} changes degree in transfer")
+            exponents[i] = e
+            odd |= g.is_odd << i
+    return Monomial(tuple(exponents), m.degree, odd, target.generators)
+
+
+def _first_index(m: Monomial) -> int:
+    """Position of the first generator of ``m``; the unit gives the length."""
+    e = m.exponents
+    for i, x in enumerate(e):
+        if x:
+            return i
+    return len(e)
 
 
 class Element:
@@ -517,43 +584,34 @@ class Element:
 
 
 def normalize_monomial(algebra: AlgebraPresentation, raw_factors):
-    """Sort a raw factor list into canonical form.
+    """Sort a raw ``(name, exponent)`` factor list into canonical form.
 
     Returns ``(sign, monomial)`` where ``sign`` is the Koszul sign of the
     sorting permutation, or ``(0, None)`` when an odd generator repeats.
     Only inversions between odd-degree factors can flip the sign, so the
     sign is the inversion parity of the odd subsequence.
     """
-    occurrences = []  # (order index, name, degree, exponent)
+    occurrences = []  # (generator index, exponent)
     for name, exp in raw_factors:
         if exp == 0:
             continue
         if exp < 0:
             raise DgaError(f"negative exponent on {name}")
-        g = algebra.generator(name)
-        occurrences.append((algebra._order[name], name, g.degree, exp))
-
-    odd_positions = [o for o in occurrences if o[2] % 2 == 1]
-    seen_odd = set()
-    for o in odd_positions:
-        if o[3] > 1 or o[0] in seen_odd:
-            return 0, None
-        seen_odd.add(o[0])
-
-    inversions = 0
-    for i in range(len(odd_positions)):
-        for j in range(i + 1, len(odd_positions)):
-            if odd_positions[i][0] > odd_positions[j][0]:
-                inversions += 1
-    sign = -1 if inversions % 2 else 1
-
-    merged = {}
-    degree = 0
-    for idx, name, deg, exp in occurrences:
-        merged[idx] = (name, merged.get(idx, (name, 0))[1] + exp)
-        degree += deg * exp
-    factors = tuple(merged[idx] for idx in sorted(merged))
-    return sign, Monomial(factors, degree)
+        algebra.generator(name)
+        occurrences.append((algebra._order[name], exp))
+    gens = algebra.generators
+    exponents = [0] * len(gens)
+    odd = flips = degree = 0
+    for i, exp in occurrences:
+        exponents[i] += exp
+        degree += gens[i].degree * exp
+        if gens[i].is_odd:
+            bit = 1 << i
+            if exp > 1 or odd & bit:
+                return 0, None
+            flips += _sign_flips(odd, bit)
+            odd |= bit
+    return (-1 if flips % 2 else 1), Monomial(tuple(exponents), degree, odd, gens)
 
 
 def extend_derivation(
@@ -582,8 +640,7 @@ def extend_derivation(
                 raise DegreeMismatch(
                     f"image of {name} is not homogeneous of degree {want}"
                 )
-    terms = {n: img.terms for n, img in images.items()}
-    return Element(algebra, _derive_terms(algebra, terms, parity, x.terms))
+    return Element(algebra, _derive_terms(algebra, _by_index(algebra, images), parity, x.terms))
 
 
 # -- the term kernel -------------------------------------------------------------
@@ -606,23 +663,41 @@ def _add_terms(a: dict, b: dict) -> dict:
     return out
 
 
+def _sign_flips(left: int, right: int) -> int:
+    """The number of pairs ``(i, j)`` with bit ``i`` in ``left``, bit ``j`` in
+    ``right`` and ``i > j``: the transpositions of odd generators that put
+    ``left`` followed by ``right`` into generator order."""
+    flips = 0
+    while left and right:
+        low = right & -right
+        flips += (left & -(low << 1)).bit_count()
+        right ^= low
+    return flips
+
+
 def _mul_terms(algebra: AlgebraPresentation, a: dict, b: dict) -> dict:
-    """The product of two term dicts: one Koszul normalisation per pair."""
+    """The product of two term dicts: exponent vectors add, and the Koszul
+    sign comes from the odd-generator bitmasks."""
+    gens = algebra.generators
     out = {}
     for m1, c1 in a.items():
-        f1 = m1.factors
+        e1, o1, d1 = m1.exponents, m1.odd, m1.degree
         for m2, c2 in b.items():
-            sign, mono = normalize_monomial(algebra, f1 + m2.factors)
-            if sign:
-                c = c1 * c2
-                _add_term(out, mono, c if sign > 0 else -c)
+            o2 = m2.odd
+            if o1 & o2:
+                continue
+            c = c1 * c2
+            if _sign_flips(o1, o2) % 2:
+                c = -c
+            mono = Monomial(tuple(map(operator.add, e1, m2.exponents)), d1 + m2.degree, o1 | o2, gens)
+            _add_term(out, mono, c)
     return out
 
 
 def _power(mul: Callable, x, k: int, one):
     """``x**k`` as ``x * x * ... * x`` under the associative product ``mul``."""
     if not isinstance(k, int) or k < 0:
-        raise ValueError("exponent must be a non-negative integer")
+        raise PreconditionViolated(f"exponent must be a non-negative integer, got {k!r}")
     if k == 0:
         return one
     out = x
@@ -631,38 +706,59 @@ def _power(mul: Callable, x, k: int, one):
     return out
 
 
-def _derive_terms(
-    algebra: AlgebraPresentation, images: Mapping[str, dict], parity: int, terms: dict
-) -> dict:
-    """Apply the derivation of the given parity with generator images
-    ``images`` (term dicts; missing generators go to zero) to ``terms``.
+def _by_index(algebra: AlgebraPresentation, images: Mapping[str, "Element"]) -> list:
+    """Generator images as term dicts in generator order; None where missing."""
+    return [images[g.name].terms if g.name in images else None for g in algebra.generators]
 
-    Each term of ``theta(g)`` is spliced into the monomial in place of one
-    copy of ``g`` and normalised once.
+
+def _derivation_vectors(images: Sequence, parity: int, m: Monomial):
+    """The terms of ``theta(m)`` for the derivation of the given parity with
+    generator images ``images`` (term dicts in generator order, None for
+    zero), as ``(exponents, degree, odd mask, k, c)`` for ``k * c`` times
+    the monomial, where ``k`` is a signed integer.
+
+    Each term of ``theta(g_i)`` replaces one copy of ``g_i``.  For an even
+    generator all copies contribute alike (moving ``theta(g_i)`` past an
+    even ``g_i`` costs nothing), hence the multiplicity; the Koszul sign
+    moves the term's odd generators past the odd generators of ``m`` before
+    and after ``g_i``.
     """
-    odd = parity % 2
-    by_name = algebra._by_name
+    e, degree, gens = m.exponents, m.degree, m.generators
+    prefix_degree = 0
+    for i, x in enumerate(e):
+        if not x:
+            continue
+        img = images[i]
+        if img:
+            k = -x if parity % 2 and prefix_degree % 2 else x
+            rest = m.odd & ~(1 << i)
+            before = rest & ((1 << i) - 1)
+            after = rest ^ before
+            lowered = e[:i] + (x - 1,) + e[i + 1 :]
+            lowered_degree = degree - gens[i].degree
+            for m2, c2 in img.items():
+                o2 = m2.odd
+                if o2 & rest:
+                    continue
+                flips = _sign_flips(before, o2) + _sign_flips(o2, after)
+                yield (
+                    tuple(map(operator.add, lowered, m2.exponents)),
+                    lowered_degree + m2.degree,
+                    rest | o2,
+                    -k if flips % 2 else k,
+                    c2,
+                )
+        prefix_degree += gens[i].degree * x
+
+
+def _derive_terms(algebra: AlgebraPresentation, images: Sequence, parity: int, terms: dict) -> dict:
+    """Apply the derivation of the given parity with generator images
+    ``images`` (term dicts in generator order, None for zero) to ``terms``."""
+    gens = algebra.generators
     out = {}
     for m, c in terms.items():
-        factors = m.factors
-        prefix_degree = 0
-        for idx, (name, exp) in enumerate(factors):
-            img = images.get(name)
-            if img:
-                # theta hits one copy of this factor; for even generators all
-                # exp copies contribute identically (moving theta(g) past an
-                # even g costs nothing), hence the factor exp.
-                left = factors[:idx] + ((name, exp - 1),) if exp > 1 else factors[:idx]
-                right = factors[idx + 1 :]
-                k = c * exp
-                if odd and prefix_degree % 2:
-                    k = -k
-                for m2, c2 in img.items():
-                    sign, mono = normalize_monomial(algebra, left + m2.factors + right)
-                    if sign:
-                        t = k * c2
-                        _add_term(out, mono, t if sign > 0 else -t)
-            prefix_degree += by_name[name].degree * exp
+        for exponents, degree, odd, k, c2 in _derivation_vectors(images, parity, m):
+            _add_term(out, Monomial(exponents, degree, odd, gens), c * k * c2)
     return out
 
 
@@ -672,15 +768,16 @@ def _extend_terms(
     """Apply the algebra map sending each generator ``g`` to the term dict
     ``image(g)`` of ``algebra`` to ``terms``; ``one`` is the unit of the
     images' coefficients."""
-    unit = {UNIT_MONOMIAL: one}
+    unit = {algebra._unit: one}
     mul = partial(_mul_terms, algebra)
     out = {}
     for m, c in terms.items():
-        term = {UNIT_MONOMIAL: one * c}
-        for name, exp in m.factors:
-            term = mul(term, _power(mul, image(name), exp, unit))
-            if not term:
-                break
+        term = {algebra._unit: one * c}
+        for g, exp in zip(m.generators, m.exponents):
+            if exp:
+                term = mul(term, _power(mul, image(g.name), exp, unit))
+                if not term:
+                    break
         for mm, cc in term.items():
             _add_term(out, mm, cc)
     return out

@@ -11,23 +11,27 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraPresentation, Element, Morphism, _derive_terms
+from .algebra import AlgebraPresentation, Element, Morphism, _add_term, _by_index, _derivation_vectors
 from .errors import DegreeMismatch, NotACocycle, PreconditionViolated, PresentationMismatch, WeightsMissing
 from .linalg import RationalMatrix, kernel_rows, reduce_mod_rows, rref, rref_solve
 
 
 def _assemble(algebra: AlgebraPresentation, n: int) -> RationalMatrix:
-    """The full degree-n d-matrix, read off the term kernel per basis monomial."""
+    """The full degree-n d-matrix, one column per basis monomial, with rows
+    found by exponent vector."""
     src = algebra.monomial_basis(n)
-    index = {m: i for i, m in enumerate(algebra.monomial_basis(n + 1))}
-    images = {name: img.terms for name, img in algebra._diff.items()}
+    index = {m.exponents: i for i, m in enumerate(algebra.monomial_basis(n + 1))}
+    images = _by_index(algebra, algebra._diff)
     matrix = RationalMatrix(len(index), len(src))
-    one = Fraction(1)
     for j, m in enumerate(src):
-        for mono, c in _derive_terms(algebra, images, 1, {m: one}).items():
-            i = index.get(mono)
+        column = {}
+        for exponents, _, _, k, c in _derivation_vectors(images, 1, m):
+            _add_term(column, exponents, c if k == 1 else -c if k == -1 else k * c)
+        for exponents, c in column.items():
+            i = index.get(exponents)
             if i is None:
-                raise DegreeMismatch(f"d({m}) has the term {mono} outside degree {n + 1}")
+                bad = [t for t in algebra.d(algebra.element({m: 1})).terms if t.degree != n + 1]
+                raise DegreeMismatch(f"d({m}) has the term {bad[0]} outside degree {n + 1}")
             matrix.entries[i, j] = c
     return matrix
 
@@ -164,11 +168,11 @@ def induced_map_is_isomorphism(f: Morphism, n: int) -> bool:
 
 def monomial_weight(algebra: AlgebraPresentation, m) -> int:
     w = 0
-    for name, e in m.factors:
-        g = algebra.generator(name)
-        if g.weight is None:
-            raise WeightsMissing(f"generator {name} has no weight")
-        w += g.weight * e
+    for g, e in zip(m.generators, m.exponents):
+        if e:
+            if g.weight is None:
+                raise WeightsMissing(f"generator {g.name} has no weight")
+            w += g.weight * e
     return w
 
 

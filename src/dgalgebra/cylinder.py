@@ -225,7 +225,7 @@ def extend_homotopy_cofibration(f: Morphism, h: Homotopy) -> Homotopy:
         source.generator(name)
         img_sub = base.differential_image(name)
         img_full = source.differential_image(name)
-        if img_sub.terms != img_full.terms:
+        if transfer_element(img_sub, source) != img_full:
             raise NotACofibration(f"d({name}) differs between base and extension")
         for m in img_full.terms:
             for n in m.generator_names():

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraPresentation, Element, Morphism
+from .algebra import AlgebraPresentation, Element, Morphism, transfer_element
 from .cohomology import CohomologyClass, induced_map
 from .cylinder import Homotopy, build_cylinder, extend_homotopy_cofibration
 from .errors import (
@@ -116,7 +116,7 @@ def _correction_in_sub_cylinder(
                 raise LemmaViolation(
                     f"correction of {w} escapes the V0 sub-cylinder (term {m})"
                 )
-    return sub_cyl.total.element(dict(xi.terms))
+    return transfer_element(xi, sub_cyl.total)
 
 
 def compute_obstruction(

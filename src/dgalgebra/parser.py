@@ -19,6 +19,13 @@ parenthesised sub-expression.  Rational literals are written ``p/q``.  ``#``
 starts a comment.  Parsing collects positioned diagnostics instead of
 raising; semantic conditions such as minimality live in
 ``validate_presentation``, not here.
+
+Each ``d`` line and morphism image line is parsed with its target degree
+as a bound, so hostile exponents such as ``(u+1)^3000`` cost work bounded
+by that degree: the parser stops at the first product or power with a term
+above the bound and returns that product as the line's value.  Its degree
+check then rejects the line exactly as it rejects ``d v = u^3``, even where
+such terms would have cancelled later (``d v = u^3 - u^3``).
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraPresentation, Element, Generator, Morphism
+from .algebra import AlgebraPresentation, Element, Generator, Morphism, _power
 from .errors import DgaError
 from .symbolic import SymbolicElement
 
@@ -103,12 +110,13 @@ class _ExprParser:
     path; concrete expressions are extracted at the end.
     """
 
-    def __init__(self, tokens, algebra: AlgebraPresentation, unknowns, diagnostics):
+    def __init__(self, tokens, algebra: AlgebraPresentation, unknowns, diagnostics, max_degree: int):
         self.tokens = tokens
         self.pos = 0
         self.algebra = algebra
         self.unknowns = unknowns
         self.diagnostics = diagnostics
+        self.max_degree = max_degree
         self.failed = False
         self.depth = 0
 
@@ -127,11 +135,21 @@ class _ExprParser:
         self.failed = True
 
     def parse(self) -> Optional[SymbolicElement]:
-        value = self.expression()
+        try:
+            value = self.expression()
+        except _AboveDegree as stop:
+            return None if self.failed else stop.value
         t = self.peek()
         if t.kind != "end":
             self.error(t, f"unexpected {t.text!r} after expression")
         return None if self.failed else value
+
+    def product(self, a: SymbolicElement, b: SymbolicElement) -> SymbolicElement:
+        """``a * b``; stops the parse when it has a term above the bound."""
+        value = a * b
+        if any(m.degree > self.max_degree for m in value.terms):
+            raise _AboveDegree(value)
+        return value
 
     def expression(self) -> SymbolicElement:
         negate = False
@@ -157,7 +175,7 @@ class _ExprParser:
             t = self.peek()
             if t.kind == "symbol" and t.text == "*":
                 self.take()
-                value = value * self.power()
+                value = self.product(value, self.power())
             else:
                 return value
 
@@ -170,7 +188,8 @@ class _ExprParser:
             if e.kind != "int":
                 self.error(e, "exponent must be a non-negative integer")
                 return base
-            return base ** int(e.text)
+            one = SymbolicElement.from_element(self.algebra.one())
+            return _power(self.product, base, int(e.text), one)
         return base
 
     def atom(self) -> SymbolicElement:
@@ -209,6 +228,14 @@ class _ExprParser:
             return value
         self.error(t, f"expected a term, found {t.text!r}" if t.text else "unexpected end of line")
         return SymbolicElement.zero(self.algebra)
+
+
+class _AboveDegree(Exception):
+    """Stops an expression parse at a product with a term above the bound."""
+
+    def __init__(self, value: SymbolicElement):
+        super().__init__("term above the expected degree")
+        self.value = value
 
 
 def _concrete(sym: SymbolicElement) -> Optional[Element]:
@@ -287,7 +314,7 @@ def parse_presentation(text: str) -> PresentationParse:
                 Diagnostic(line_no, col, f"differential for unknown generator {gen_name!r}")
             )
             continue
-        parser = _ExprParser(tokens, algebra, set(), diagnostics)
+        parser = _ExprParser(tokens, algebra, set(), diagnostics, algebra.degree_of(gen_name) + 1)
         sym = parser.parse()
         if sym is None:
             continue
@@ -418,7 +445,7 @@ def parse_morphism(
                 Diagnostic(line_no, col, f"image for unknown source generator {gen_name!r}")
             )
             continue
-        parser = _ExprParser(tokens, target, set(unknowns), diagnostics)
+        parser = _ExprParser(tokens, target, set(unknowns), diagnostics, source.degree_of(gen_name))
         sym = parser.parse()
         if sym is None:
             continue

@@ -19,6 +19,7 @@ from .algebra import (
     Monomial,
     _add_term,
     _add_terms,
+    _by_index,
     _derive_terms,
     _mul_terms,
     _power,
@@ -246,7 +247,7 @@ class SymbolicElement:
 
     def d(self) -> "SymbolicElement":
         """Differential; coefficients are scalars for d."""
-        images = {n: img.terms for n, img in self.algebra.differential_images().items()}
+        images = _by_index(self.algebra, self.algebra.differential_images())
         return SymbolicElement(self.algebra, _derive_terms(self.algebra, images, 1, self.terms))
 
     def __str__(self):

@@ -310,3 +310,87 @@ def class_coordinates_by_solve(algebra, x, n):
     rows = [rep_part + d_part for rep_part, d_part in zip(columns, d_lower)]
     solution = dense_solve(rows, [x.terms.get(m, Fraction(0)) for m in basis]) if rows else []
     return None if solution is None else solution[: len(reps)]
+
+
+# -- monomials by name, without the library's exponent vectors -------------------
+#
+# A monomial here is a tuple of (generator name, exponent) pairs in the order
+# (degree, name), the library's documented canonical order.
+
+
+def _generator_key(algebra, name):
+    return (algebra.degree_of(name), name)
+
+
+def normalize_by_transpositions(algebra, raw_factors):
+    """``(sign, factors)`` of a raw ``(name, exponent)`` list, or ``(0, None)``.
+
+    The factors are spelled out one copy at a time and bubble-sorted by
+    adjacent transpositions; swapping neighbours of degrees p and q
+    multiplies by (-1)**(p*q).  Two equal odd neighbours make the product
+    zero.
+    """
+    seq = [name for name, e in raw_factors for _ in range(e)]
+    sign = 1
+    for end in range(len(seq) - 1, 0, -1):
+        for j in range(end):
+            a, b = seq[j], seq[j + 1]
+            if _generator_key(algebra, a) > _generator_key(algebra, b):
+                seq[j], seq[j + 1] = b, a
+                if algebra.degree_of(a) % 2 and algebra.degree_of(b) % 2:
+                    sign = -sign
+    factors = []
+    for name in seq:
+        if factors and factors[-1][0] == name:
+            if algebra.degree_of(name) % 2:
+                return 0, None
+            factors[-1] = (name, factors[-1][1] + 1)
+        else:
+            factors.append((name, 1))
+    return sign, tuple(factors)
+
+
+def product_by_transpositions(x, y):
+    """``x * y`` as ``{factors: coefficient}``, one normalisation per pair."""
+    out = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            sign, factors = normalize_by_transpositions(x.algebra, m1.factors + m2.factors)
+            if sign:
+                out[factors] = out.get(factors, 0) + sign * c1 * c2
+    return {f: c for f, c in out.items() if c}
+
+
+def derivative_by_leibniz(algebra, images, parity, factors):
+    """The derivation of the given parity with generator images ``images``
+    (name -> element; missing names go to zero) on one monomial, as
+    ``{factors: coefficient}``: it hits each copy of each factor in turn,
+    with the sign (-1)**(parity * degree of the copies before it), and every
+    term is normalised by transpositions."""
+    seq = [name for name, e in factors for _ in range(e)]
+    out = {}
+    before = 0
+    for j, name in enumerate(seq):
+        image = images.get(name)
+        for m, c in (image.terms.items() if image is not None else ()):
+            raw = [(n, 1) for n in seq[:j]] + list(m.factors) + [(n, 1) for n in seq[j + 1 :]]
+            sign, normal = normalize_by_transpositions(algebra, raw)
+            if sign:
+                out[normal] = out.get(normal, 0) + (-1) ** (parity * before % 2) * sign * c
+        before += algebra.degree_of(name)
+    return {f: c for f, c in out.items() if c}
+
+
+def basis_by_search(algebra, n):
+    """Every monomial of degree n, by search over all exponent vectors, in
+    the documented order: at the first generator (in (degree, name) order)
+    where two monomials differ, the smaller nonzero exponent comes first
+    and a zero exponent comes last."""
+    names = sorted(algebra.generator_names(), key=lambda name: _generator_key(algebra, name))
+    degrees = [algebra.degree_of(name) for name in names]
+    ranges = [range(2) if d % 2 else range(n // d + 1) for d in degrees]
+    found = []
+    for exps in product(*ranges):
+        if sum(d * e for d, e in zip(degrees, exps)) == n:
+            found.append(tuple((i, e) for i, e in enumerate(exps) if e))
+    return [tuple((names[i], e) for i, e in pairs) for pairs in sorted(found)]

@@ -8,6 +8,7 @@ from dgalgebra import (
     AlgebraPresentation,
     DgaError,
     Morphism,
+    PreconditionViolated,
     PresentationMismatch,
     UnknownGenerator,
     compose,
@@ -40,6 +41,12 @@ def test_even_generators_commute_freely(ex51):
 def test_unknown_generator_rejected(ex51):
     with pytest.raises(UnknownGenerator):
         normalize_monomial(ex51, [("nope", 1)])
+
+
+@pytest.mark.parametrize("k", [-1, 2.0])
+def test_power_needs_a_non_negative_integer_exponent(ex51, k):
+    with pytest.raises(PreconditionViolated):
+        ex51.gen("x1") ** k
 
 
 def test_published_quadratic_product(ex51):

@@ -165,10 +165,37 @@ def test_cli_parse_error(tmp_path):
     assert "1:" in err
 
 
-def run_cli_process(*args):
+def run_cli_process(*args, timeout=None):
     return subprocess.run(
-        [sys.executable, "-m", "dgalgebra.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "dgalgebra.cli", *args], capture_output=True, text=True, timeout=timeout
     )
+
+
+@pytest.mark.parametrize("image", ["u^100000000", "(u+1)^3000"])
+def test_cli_huge_power_stops_at_the_degree_bound(tmp_path, image):
+    """The parser stops at the first product above |v| + 1 = 4, so the line
+    fails validation like d v = u^3 instead of expanding the power."""
+    path = tmp_path / "huge.dga"
+    path.write_text(f"algebra t\ngenerator u : 2\ngenerator v : 3\nd v = {image}\n")
+    proc = run_cli_process("check", str(path), timeout=30)
+    assert proc.returncode == 3
+    assert "v: degree-mismatch: d(v) is not homogeneous of degree 4" in proc.stdout
+
+
+def test_term_above_the_degree_rejects_the_line_even_if_it_cancels(ex53):
+    """The bound stops the parse at u^3, so d v = u^3 - u^3 is rejected
+    like d v = u^3 and not read as d v = 0; morphism lines are bounded by
+    their generator's degree the same way."""
+    text = "algebra t\ngenerator u : 2\ngenerator v : 3\nd v = {}\n"
+    for image in ("u^3", "u^3 - u^3"):
+        algebra = parse_presentation(text.format(image)).presentation
+        assert algebra.differential_image("v") == algebra.gen("u") ** 3
+        assert [i.kind for i in validate_presentation(algebra).issues] == ["degree-mismatch"]
+    source = parse_presentation("algebra s\ngenerator w : 20\n").presentation
+    result = parse_morphism("w = x1^3 - x1^3\n", source, ex53)
+    assert [d.message for d in result.diagnostics] == [
+        "image of w has a degree-30 term; expected degree 20"
+    ]
 
 
 def test_cli_directory_argument_is_a_read_error(tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dgalgebra import (
+    AlgebraPresentation,
     Homotopy,
     Morphism,
     build_cylinder,
@@ -21,7 +22,8 @@ from dgalgebra import (
     extend_to_homotopy,
     make_decomposition,
 )
-from dgalgebra.algebra import extend_derivation
+from dgalgebra import algebra as algebra_module
+from dgalgebra.algebra import extend_derivation, normalize_monomial, transfer_element
 from dgalgebra.classify import generic_ansatz
 from dgalgebra.cohomology import (
     class_coordinates,
@@ -34,10 +36,14 @@ from dgalgebra.linalg import rref_solve
 from dgalgebra.obstruction import Filtration
 from conftest import load
 from oracles import (
+    basis_by_search,
     class_coordinates_by_solve,
     d_matrix_by_derivation,
     dense_representatives,
+    derivative_by_leibniz,
+    normalize_by_transpositions,
     nullhomotopy_by_bar_search,
+    product_by_transpositions,
     weight_split_by_restriction,
 )
 from strategies import (
@@ -550,3 +556,111 @@ def test_verdict_independent_of_stage_witness_choice(source, target, draw):
         end = h.end()
         for name in source.generator_names():
             assert end.images[name].is_zero()
+
+
+# -- the exponent-vector kernel against the normaliser by transpositions --------
+
+
+def _named(x):
+    """The terms of ``x`` keyed by their ``(name, exponent)`` factors."""
+    return {m.factors: c for m, c in x.terms.items()}
+
+
+MINIMAL_OR_CORPUS = st.one_of(minimal_algebras(), st.sampled_from(CORPUS))
+
+
+@given(MINIMAL_OR_CORPUS, st.data())
+@settings(max_examples=100)
+def test_products_match_the_transposition_normaliser(algebra, draw):
+    x = draw.draw(elements_of(algebra))
+    y = draw.draw(elements_of(algebra))
+    assert _named(x * y) == product_by_transpositions(x, y)
+
+
+@given(MINIMAL_OR_CORPUS, st.data())
+@settings(max_examples=100)
+def test_normalize_monomial_matches_the_transposition_normaliser(algebra, draw):
+    factor = st.tuples(st.sampled_from(algebra.generator_names()), st.integers(min_value=0, max_value=3))
+    raw = draw.draw(st.lists(factor, max_size=6))
+    sign, mono = normalize_monomial(algebra, raw)
+    assert (sign, mono and mono.factors) == normalize_by_transpositions(algebra, raw)
+
+
+@given(minimal_algebras(), st.integers(min_value=0, max_value=14))
+@settings(max_examples=80)
+def test_monomial_basis_is_the_sorted_search(algebra, n):
+    assert [m.factors for m in algebra.monomial_basis(n)] == basis_by_search(algebra, n)
+
+
+@given(st.sampled_from(CORPUS), st.integers(min_value=0, max_value=250))
+@settings(max_examples=40)
+def test_corpus_monomial_basis_is_the_sorted_search(algebra, n):
+    assert [m.factors for m in algebra.monomial_basis(n)] == basis_by_search(algebra, n)
+
+
+@given(MINIMAL_OR_CORPUS, st.data())
+@settings(max_examples=60)
+def test_d_of_each_basis_monomial_matches_the_leibniz_rule(algebra, draw):
+    n = draw.draw(st.integers(min_value=0, max_value=2 * algebra.max_generator_degree() + 2))
+    images = algebra.differential_images()
+    for m in algebra.monomial_basis(n):
+        assert _named(algebra.d(algebra.element({m: 1}))) == derivative_by_leibniz(algebra, images, 1, m.factors)
+
+
+@given(minimal_algebras(), st.data())
+@settings(max_examples=100)
+def test_derivations_match_the_leibniz_rule(algebra, draw):
+    """Random images of every degree shift, so image terms may hold odd
+    generators later than factors to the right of the one they replace."""
+    parity = draw.draw(st.integers(min_value=-1, max_value=2))
+    images = {}
+    for g in algebra.generators:
+        basis = algebra.monomial_basis(g.degree + parity)
+        if basis:
+            coeffs = draw.draw(st.lists(rationals, min_size=len(basis), max_size=len(basis)))
+            images[g.name] = algebra.element({m: c for m, c in zip(basis, coeffs) if c})
+    x = draw.draw(elements_of(algebra))
+    for m in x.terms:
+        got = extend_derivation(algebra, images, parity, algebra.element({m: 1}))
+        assert _named(got) == derivative_by_leibniz(algebra, images, parity, m.factors)
+
+
+def test_derivation_sign_past_later_odd_factors():
+    """theta(u) = z with z after y in generator order: theta(u*y) = z*y = -y*z."""
+    algebra = AlgebraPresentation.build([("u", 2), ("y", 3), ("z", 5)])
+    g = algebra.namespace()
+    images = {"u": g.z}
+    got = extend_derivation(algebra, images, 3, g.u * g.y)
+    assert got == -(g.y * g.z)
+    assert _named(got) == derivative_by_leibniz(algebra, images, 3, (("u", 1), ("y", 1)))
+
+
+@given(minimal_algebras(), st.data())
+@settings(max_examples=60)
+def test_transfers_keep_terms_and_printed_text(algebra, draw):
+    """Subalgebra inclusions and the cylinder re-index monomials by name:
+    the named terms, the printed text and d are unchanged."""
+    k = draw.draw(st.integers(min_value=1, max_value=len(algebra.generators)))
+    sub = algebra.subalgebra(algebra.generator_names()[:k])  # d-closed by construction
+    x = draw.draw(elements_of(sub))
+    up = transfer_element(x, algebra)
+    assert (_named(up), str(up)) == (_named(x), str(x))
+    assert algebra.element(dict(x.terms)) == up
+    assert transfer_element(up, sub) == x
+    assert algebra.d(up) == transfer_element(sub.d(x), algebra)
+    cyl = build_cylinder(algebra)
+    y = draw.draw(elements_of(algebra))
+    into = transfer_element(y, cyl.total)
+    assert (_named(into), str(into)) == (_named(y), str(y))
+    assert cyl.total.d(into) == transfer_element(algebra.d(y), cyl.total)
+
+
+def test_a_kernel_with_one_sign_flipped_fails_the_oracles(monkeypatch, ex51):
+    g = ex51.namespace()
+    raw = [("y2", 1), ("y1", 1)]
+    assert _named(g.y2 * g.y1) == product_by_transpositions(g.y2, g.y1)
+    assert normalize_monomial(ex51, raw)[0] == normalize_by_transpositions(ex51, raw)[0]
+    flips = algebra_module._sign_flips
+    monkeypatch.setattr(algebra_module, "_sign_flips", lambda left, right: flips(left, right) + bool(left and right))
+    assert _named(g.y2 * g.y1) != product_by_transpositions(g.y2, g.y1)
+    assert normalize_monomial(ex51, raw)[0] != normalize_by_transpositions(ex51, raw)[0]

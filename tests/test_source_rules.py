@@ -53,6 +53,19 @@ def test_no_broad_exception_handlers():
     assert found == []
 
 
+def test_monomials_are_constructed_only_in_algebra_py():
+    """The exponent-vector layout of ``Monomial`` is private to
+    ``algebra.py``; other modules get monomials from its kernel."""
+    found = [
+        where
+        for where, node in _nodes()
+        if isinstance(node, ast.Call)
+        and "Monomial" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and not where.startswith("algebra.py:")
+    ]
+    assert found == []
+
+
 def _public_definitions():
     """``(file, name)`` of every public module-level or class-level
     function, method and class."""
