@@ -695,15 +695,19 @@ def _mul_terms(algebra: AlgebraPresentation, a: dict, b: dict) -> dict:
 
 
 def _power(mul: Callable, x, k: int, one):
-    """``x**k`` as ``x * x * ... * x`` under the associative product ``mul``."""
+    """``x**k`` under the associative product ``mul`` by square-and-multiply,
+    with at most ``2 * log2(k)`` products; no square beyond ``x**k`` is
+    formed."""
     if not isinstance(k, int) or k < 0:
         raise PreconditionViolated(f"exponent must be a non-negative integer, got {k!r}")
-    if k == 0:
-        return one
-    out = x
-    for _ in range(k - 1):
-        out = mul(out, x)
-    return out
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return one if out is None else out
 
 
 def _by_index(algebra: AlgebraPresentation, images: Mapping[str, "Element"]) -> list:

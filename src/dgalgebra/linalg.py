@@ -2,18 +2,24 @@
 
 Everything here is deterministic: elimination always ends in the reduced row
 echelon form, which is unique, so kernels, particular solutions and
-canonical witnesses are reproducible across runs and platforms.
+canonical witnesses are reproducible across runs and platforms.  The one
+elimination over Q, ``_rref``, works on primitive integer rows and divides
+by the pivots only when it emits the reduced rows, so its results are the
+same ``Fraction`` rows as an elimination over ``Fraction`` without the
+gcd work of rational arithmetic at every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
     NonRationalRoot,
+    PreconditionViolated,
     UnsolvableSystem,
     UnsupportedShape,
 )
@@ -88,31 +94,106 @@ class RationalMatrix:
 
 
 def _rref(rows: List[Dict[int, Fraction]]) -> Tuple[List[Dict[int, Fraction]], List[int]]:
-    """Reduced row echelon form of sparse rows ``{column: nonzero value}``.
+    """Reduced row echelon form of sparse rows ``{column: nonzero value}``
+    (ints or Fractions).
 
     Returns the nonzero rows, scaled to pivot 1 and ordered by pivot column,
-    with their pivot columns.  The input rows are consumed.  Each row is
-    first reduced at its leading column only, shortest rows first to limit
-    fill-in; back substitution then clears the other pivot columns.  The
-    reduced echelon form of a row space is unique, so the result does not
-    depend on this order.
+    with their pivot columns.  The input rows are consumed.  The elimination
+    is fraction-free: each row is scaled in place to a primitive integer row
+    (``_make_integer``) and combined with integer multiples of pivot rows
+    (``_eliminate``); rows are divided by their pivots only when they are
+    emitted.  Each row is first reduced at its leading column only, shortest
+    rows first to limit fill-in; back substitution then clears the other
+    pivot columns.  The reduced echelon form of a row space is unique, so
+    the result does not depend on this order or on the row scaling.
     """
-    by_pivot: Dict[int, Dict[int, Fraction]] = {}
-    for row in sorted(rows, key=len):
+    by_pivot: Dict[int, Dict[int, int]] = {}
+    for row in sorted(filter(None, rows), key=len):
+        _make_integer(row)
         while row:
             p = min(row)
             pivot_row = by_pivot.get(p)
             if pivot_row is None:
-                pv = row[p]
-                by_pivot[p] = row if pv == 1 else {j: v / pv for j, v in row.items()}
+                by_pivot[p] = row
                 break
-            _subtract(row, row[p], pivot_row)
+            _eliminate(row, p, pivot_row)
     pivots = sorted(by_pivot)
     for p in reversed(pivots):
         row = by_pivot[p]
         for q in [j for j in row if j != p and j in by_pivot]:
-            _subtract(row, row[q], by_pivot[q])
+            _eliminate(row, q, by_pivot[q])
+    for p in pivots:
+        _divide(by_pivot[p], p)
     return [by_pivot[p] for p in pivots], pivots
+
+
+def _make_integer(row: Dict[int, Fraction]):
+    """Scale a sparse rational row in place to its primitive integer
+    multiple: denominators cleared by their lcm, content divided out."""
+    if len(row) == 1:
+        for j in row:
+            row[j] = 1
+        return
+    scale = 1
+    for v in row.values():
+        scale = lcm(scale, v.denominator)
+    for j, v in row.items():
+        row[j] = v.numerator * (scale // v.denominator)
+    _divide_content(row)
+
+
+def _eliminate(row: Dict[int, int], p: int, pivot_row: Dict[int, int]):
+    """``row = a * row - b * pivot_row`` in place, with the smallest positive
+    a that clears column p, dropping entries that cancel; when ``a > 1`` the
+    row's content is divided out."""
+    a, b = pivot_row[p], row[p]
+    g = gcd(a, b)
+    if a < 0:
+        g = -g
+    a, b = a // g, b // g
+    if a != 1:
+        for j, v in row.items():
+            row[j] = a * v
+    for j, v in pivot_row.items():
+        x = row.get(j, 0) - b * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    if a != 1:
+        _divide_content(row)
+
+
+def _divide_content(row: Dict[int, int]):
+    """Divide an integer row in place by the gcd of its entries."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return
+    if g > 1:
+        for j, v in row.items():
+            row[j] = v // g
+
+
+# shared because Fractions are immutable: a dense result holds one object per
+# zero entry, not one zero each
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _divide(row: Dict[int, int], p: int):
+    """Divide an integer row by its entry at the pivot p in place, as
+    Fractions."""
+    pv = row[p]
+    if len(row) == 1:
+        for j in row:
+            row[j] = _ONE
+    elif pv == 1:
+        for j, v in row.items():
+            row[j] = Fraction(v)
+    else:
+        for j, v in row.items():
+            row[j] = Fraction(v, pv)
 
 
 def _subtract(row: Dict[int, Fraction], f: Fraction, other: Dict[int, Fraction]):
@@ -155,9 +236,9 @@ def rref_solve(
     if n not in pivots:  # else a pivot in the augmented column: inconsistent
         particular = [Fraction(0)] * n
         for row, c in zip(rows, pivots):
-            particular[c] = row.get(n, Fraction(0))
+            particular[c] = row.get(n, _ZERO)
 
-    kernel = [[vec.get(j, Fraction(0)) for j in range(n)] for vec in kernel_rows(rows, pivots, n)]
+    kernel = [[vec.get(j, _ZERO) for j in range(n)] for vec in kernel_rows(rows, pivots, n)]
     return particular, kernel
 
 
@@ -181,7 +262,7 @@ def row_space_basis(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], L
         return [], []
     n = len(rows[0])
     reduced, pivots = _rref([{j: Fraction(v) for j, v in enumerate(r) if v} for r in rows])
-    return [[row.get(j, Fraction(0)) for j in range(n)] for row in reduced], pivots
+    return [[row.get(j, _ZERO) for j in range(n)] for row in reduced], pivots
 
 
 def reduce_mod_rows(
@@ -301,7 +382,7 @@ def smith_form(matrix: Sequence[Sequence[int]]):
 
     d = [[a[i][j] if i == j else 0 for j in range(n)] for i in range(m)]
     if _mat_mul_int(_mat_mul_int(u, original), v) != d:
-        raise ArithmeticError("Smith reduction lost the transform identity")
+        raise PreconditionViolated("internal inconsistency: Smith reduction lost the transform identity")
     return u, d, v
 
 

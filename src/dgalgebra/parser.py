@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log2
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraPresentation, Element, Generator, Morphism, _power
@@ -39,6 +40,7 @@ from .errors import DgaError
 from .symbolic import SymbolicElement
 
 MAX_NESTING = 100  # levels of parentheses and unary minus signs in an expression
+MAX_POWER_BITS = 4096  # coefficient bits of a power of a degree-0 base
 
 
 @dataclass(frozen=True)
@@ -188,8 +190,12 @@ class _ExprParser:
             if e.kind != "int":
                 self.error(e, "exponent must be a non-negative integer")
                 return base
+            k = int(e.text)
+            if _power_too_large(base, k):
+                self.error(e, f"power would exceed {MAX_POWER_BITS} bits of coefficients")
+                return base
             one = SymbolicElement.from_element(self.algebra.one())
-            return _power(self.product, base, int(e.text), one)
+            return _power(self.product, base, k, one)
         return base
 
     def atom(self) -> SymbolicElement:
@@ -228,6 +234,25 @@ class _ExprParser:
             return value
         self.error(t, f"expected a term, found {t.text!r}" if t.text else "unexpected end of line")
         return SymbolicElement.zero(self.algebra)
+
+
+def _power_too_large(base: SymbolicElement, k: int) -> bool:
+    """Whether the coefficients of ``base**k`` would take more than
+    ``MAX_POWER_BITS`` bits in all, by an estimate for a base of degree 0;
+    powers of a positive-degree base are stopped by the degree bound.
+
+    With t coefficients (t > 1 only with unknowns) of at most h bits, each
+    coefficient of the power has at most ``k * (h + log2 t)`` bits, and the
+    power has at most ``(k + 1)**(t - 1)`` terms.
+    """
+    if not k or any(m.degree for m in base.terms):
+        return False
+    coefficients = [c for poly in base.terms.values() for c in poly.terms.values()]
+    if not coefficients:
+        return False
+    t = len(coefficients)
+    height = max(log2(max(abs(c.numerator), c.denominator)) for c in coefficients) + log2(t)
+    return bool(height) and log2(k * height) + (t - 1) * log2(k + 1) > log2(MAX_POWER_BITS)
 
 
 class _AboveDegree(Exception):

@@ -49,6 +49,18 @@ def test_power_needs_a_non_negative_integer_exponent(ex51, k):
         ex51.gen("x1") ** k
 
 
+def test_power_by_squaring_equals_repeated_product(ex53):
+    g = ex53.namespace()
+    x = g.x1 + Fraction(-2, 3) * g.x2 + 1
+    product = ex53.one()
+    for k in range(12):
+        assert x**k == product
+        product = product * x
+    # a large exponent costs about 2 * log2(k) products
+    [(monomial, c)] = ((2 * g.x1) ** 1000000).terms.items()
+    assert (c, monomial.degree) == (2**1000000, 1000000 * ex53.degree_of("x1"))
+
+
 def test_published_quadratic_product(ex51):
     g = ex51.namespace()
     produced = (g.y1 * g.x2 - g.x1 * g.y2) * (g.y2 * g.x2 - g.x1 * g.y3)

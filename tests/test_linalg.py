@@ -16,7 +16,11 @@ from dgalgebra import (
     smith_form,
     solve_multiplicative_system,
 )
-from dgalgebra.linalg import reduce_mod_rows, row_space_basis
+from dgalgebra import linalg
+from dgalgebra.cohomology import cohomology_at_degree, differential_matrix
+from dgalgebra.errors import PreconditionViolated
+from dgalgebra.linalg import reduce_mod_rows, row_space_basis, rref
+from dgalgebra.parser import parse_presentation
 from oracles import (
     brute_multiplicative_solutions,
     dense_reduce_mod_rows,
@@ -115,6 +119,92 @@ def test_elimination_matches_dense_reference_exactly(system):
     assert all(reduced.values())
     dense = [reduced.get(j, Fraction(0)) for j in range(n_cols)]
     assert dense == dense_reduce_mod_rows(vec, basis, pivots)
+
+
+# entries up to 2^80 over denominators up to 10^6, so that one row mixes
+# denominators and the integer rows inside the elimination need content removal
+big_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+)
+
+
+@st.composite
+def big_systems(draw):
+    """``(rows, n_cols, b, vec)`` with large entries, plus duplicate rows,
+    negated multiples (negative pivots) and zero rows."""
+    n_cols = draw(st.integers(min_value=0, max_value=6))
+    rows = [draw(st.lists(big_entries, min_size=n_cols, max_size=n_cols)) for _ in range(draw(st.integers(0, 4)))]
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if rows and draw(st.booleans()):
+        factor = draw(st.builds(Fraction, st.integers(-(2**40), -1), st.integers(1, 10**6)))
+        rows.append([factor * v for v in draw(st.sampled_from(rows))])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * n_cols)
+    b = draw(st.lists(big_entries, min_size=len(rows), max_size=len(rows)))
+    vec = draw(st.lists(big_entries, min_size=n_cols, max_size=n_cols))
+    return rows, n_cols, b, vec
+
+
+def _all_fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
+@given(big_systems())
+@settings(max_examples=200)
+def test_large_coefficient_elimination_matches_dense_reference(system):
+    rows, n_cols, b, vec = system
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
+    matrix = RationalMatrix(len(rows), n_cols, entries)
+    particular, kernel = rref_solve(matrix, b)
+    assert (particular, kernel) == dense_rref_solve(rows, n_cols, b)
+    assert _all_fractions(particular or []) and all(_all_fractions(k) for k in kernel)
+    reduced_matrix, pivots = rref(matrix)
+    assert _all_fractions(reduced_matrix.entries.values())
+    assert all(reduced_matrix.get(i, p) == 1 for i, p in enumerate(pivots))
+
+    basis, pivots = row_space_basis(rows)
+    assert (basis, pivots) == dense_row_space_basis(rows)
+    assert all(_all_fractions(row) for row in basis)
+    sparse_basis = [{j: v for j, v in enumerate(row) if v} for row in basis]
+    reduced = reduce_mod_rows({j: v for j, v in enumerate(vec) if v}, sparse_basis, pivots)
+    assert all(reduced.values())
+    assert [reduced.get(j, Fraction(0)) for j in range(n_cols)] == dense_reduce_mod_rows(vec, basis, pivots)
+
+
+# four quadrics in four even generators forming a regular sequence, so the
+# algebra is elliptic; the eliminations of its d-matrices see the coefficient
+# growth of the coboundary-query benchmark
+ELLIPTIC_QUADRICS = """algebra quadrics
+generator a1 : 2
+generator a2 : 2
+generator a3 : 2
+generator a4 : 2
+generator y1 : 3
+generator y2 : 3
+generator y3 : 3
+generator y4 : 3
+d y1 = -a1^2 - 2*a1*a2 - 2*a1*a3 + 2*a1*a4 + a2^2 - 2*a2*a4 - a3^2 - 2*a3*a4 + a4^2
+d y2 = a1*a3 + 2*a1*a4 - 2*a2^2 - a2*a3 - 2*a2*a4 - 2*a3^2 - a3*a4 - a4^2
+d y3 = a1^2 + 2*a1*a2 + a1*a3 + 2*a2^2 - 2*a2*a3 - 2*a3^2 - a4^2
+d y4 = 2*a1^2 - 2*a1*a2 + a1*a4 - 2*a2^2 + 2*a2*a3 + 2*a2*a4 + 2*a3^2 - 2*a3*a4 - 2*a4^2
+"""
+
+
+def test_elliptic_d_matrices_match_dense_reference():
+    algebra = parse_presentation(ELLIPTIC_QUADRICS).presentation
+    assert [cohomology_at_degree(algebra, n).dimension for n in range(11)] == [1, 0, 4, 0, 6, 0, 4, 0, 1, 0, 0]
+    for n in range(3, 12):
+        matrix = differential_matrix(algebra, n)
+        rows = matrix.dense_rows()
+        # a right-hand side in the column space, with entries of every size
+        b = matrix.mat_vec([Fraction((-3) ** j, j + 1) for j in range(matrix.cols)])
+        particular, kernel = rref_solve(matrix, b)
+        assert (particular, kernel) == dense_rref_solve(rows, matrix.cols, b)
+        assert particular is not None
+        assert _all_fractions(particular) and all(_all_fractions(k) for k in kernel)
 
 
 def _check_smith(m):
@@ -289,3 +379,11 @@ def _in_family(system, result, candidate):
     # verify the candidate satisfies the system (the family description is
     # sound if so, since the solution set is exactly the full solution set)
     return system.satisfied_by(candidate)
+
+
+def test_smith_identity_failure_is_a_typed_error(monkeypatch):
+    """A Smith form that fails its own re-check raises ``PreconditionViolated``,
+    which the CLI maps to an exit code, not a bare ``ArithmeticError``."""
+    monkeypatch.setattr(linalg, "_mat_mul_int", lambda a, b: [[7]])
+    with pytest.raises(PreconditionViolated, match="internal inconsistency"):
+        smith_form([[2, 0], [0, 3]])

@@ -10,6 +10,7 @@ from dgalgebra import corpus, validate_presentation
 from dgalgebra.cli import main as cli_main
 from dgalgebra.parser import (
     MAX_NESTING,
+    MAX_POWER_BITS,
     element_to_json,
     parse_morphism,
     parse_presentation,
@@ -180,6 +181,50 @@ def test_cli_huge_power_stops_at_the_degree_bound(tmp_path, image):
     proc = run_cli_process("check", str(path), timeout=30)
     assert proc.returncode == 3
     assert "v: degree-mismatch: d(v) is not homogeneous of degree 4" in proc.stdout
+
+
+def test_cli_huge_power_of_one_is_read_by_squaring(tmp_path):
+    """A power of a degree-0 base is not stopped by the degree bound; read
+    one product at a time, 1^100000000 would take about 20 minutes."""
+    path = tmp_path / "one.dga"
+    path.write_text("algebra t\ngenerator u : 2\ngenerator v : 3\nd v = 1^100000000 * u^2 - (-1)^99999999 * u^2\n")
+    proc = run_cli_process("check", str(path), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert "presentation valid" in proc.stdout
+
+
+def test_cli_scalar_power_above_the_bit_bound_is_a_parse_error(tmp_path):
+    path = tmp_path / "wide.dga"
+    path.write_text("algebra t\ngenerator u : 2\ngenerator v : 3\nd v = 2^20000 * u^2\n")
+    proc = run_cli_process("check", str(path), timeout=30)
+    assert proc.returncode == 2
+    assert f"4:9: power would exceed {MAX_POWER_BITS} bits of coefficients" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_scalar_power_bit_bound():
+    text = "generator u : 2\ngenerator v : 3\nd v = {} * u^2\n"
+    for power, ok in (
+        (f"2^{MAX_POWER_BITS}", True),
+        (f"2^{MAX_POWER_BITS + 1}", False),
+        (f"(1/2)^{MAX_POWER_BITS + 1}", False),
+        (f"(2^{MAX_POWER_BITS // 2})^2", True),
+        (f"(2^{MAX_POWER_BITS // 2})^3", False),
+        ("(-1)^100000000", True),
+        ("0^100000000", True),
+    ):
+        assert parse_presentation(text.format(power)).ok is ok, power
+    parsed = parse_presentation(text.format(f"3^{MAX_POWER_BITS // 2}"))
+    assert parsed.presentation.differential_image("v").terms.popitem()[1] == 3 ** (MAX_POWER_BITS // 2)
+
+
+def test_power_of_an_unknown_polynomial_is_bounded(ex53):
+    """(a + 1)^k has k + 1 coefficients of up to k bits each, so the bound
+    stops it near k = 64; a single unknown only grows its exponent."""
+    text = "morphism m : ex53 -> ex53\nunknown a\nx1 = {} * x1\n"
+    for power, ok in (("(a+1)^63", True), ("(a+1)^64", False), ("(a+a+1)^4096", False), ("a^100000000", True)):
+        result = parse_morphism(text.format(power), ex53, ex53)
+        assert (result.diagnostics == []) is ok, power
 
 
 def test_term_above_the_degree_rejects_the_line_even_if_it_cancels(ex53):

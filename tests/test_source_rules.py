@@ -66,6 +66,34 @@ def test_monomials_are_constructed_only_in_algebra_py():
     assert found == []
 
 
+def _linalg_private_uses(path: Path):
+    """Private ``linalg`` names that the module at ``path`` imports or reads
+    as an attribute of ``linalg``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "linalg":
+            yield from (a.name for a in node.names if a.name.startswith("_"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "linalg"
+        ):
+            yield node.attr
+
+
+def test_eliminations_go_through_public_linalg_names():
+    """Outside ``linalg.py`` no module imports or reads a private ``linalg``
+    name such as ``_rref``, so every elimination passes through ``rref``,
+    ``rref_solve``, ``row_space_basis``, ``reduce_mod_rows`` or
+    ``smith_form``, the names that the benchmark's tracer wraps."""
+    paths = [p for p in sorted(SRC.rglob("*.py")) if p.name != "linalg.py"]
+    paths += sorted((ROOT / "demos").rglob("*.py"))
+    found = [f"{path.relative_to(ROOT)}: {name}" for path in paths for name in _linalg_private_uses(path)]
+    assert paths
+    assert found == []
+
+
 def _public_definitions():
     """``(file, name)`` of every public module-level or class-level
     function, method and class."""
