@@ -852,6 +852,14 @@ def validate_presentation(algebra: AlgebraPresentation) -> ValidationReport:
     return ValidationReport(issues)
 
 
+def require_graded(*algebras: AlgebraPresentation) -> None:
+    """Raise :class:`DegreeMismatch` unless each ``d(g)`` is homogeneous of degree ``|g| + 1``."""
+    for algebra in algebras:
+        for g in algebra.generators:
+            if not algebra.differential_image(g.name).is_homogeneous(g.degree + 1):
+                raise DegreeMismatch(f"d({g.name}) is not homogeneous of degree {g.degree + 1}")
+
+
 # -- morphisms -------------------------------------------------------------------
 
 

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraPresentation, Element, Monomial, Morphism, _extend_terms, compose
+from .algebra import require_graded
 from .cohomology import induced_map_is_isomorphism, is_coboundary
 from .errors import (
     ClassificationIncomplete,
@@ -182,16 +183,20 @@ class SolutionFamily:
     def representative(self) -> Morphism:
         return self.member()
 
-    def parametrized_image(self, gen_name: str) -> SymbolicElement:
-        """The generator image with fixed and dependent unknowns substituted;
-        only free parameters remain."""
+    def substitution(self) -> Dict[str, Poly]:
+        """Fixed and dependent unknowns as polynomials in the free parameters."""
         subs: Dict[str, Poly] = {n: Poly.constant(c) for n, c in self.fixed.items()}
         for name, expr in self.dependent.items():
             p = Poly.constant(expr.constant)
             for pname, c in expr.coefficients.items():
                 p = p + Poly.variable(pname) * c
             subs[name] = p
-        return self.unknown_morphism.images[gen_name].substitute(subs)
+        return subs
+
+    def parametrized_image(self, gen_name: str) -> SymbolicElement:
+        """The generator image with fixed and dependent unknowns substituted;
+        only free parameters remain."""
+        return self.unknown_morphism.images[gen_name].substitute(self.substitution())
 
 
 def _case_split(
@@ -399,22 +404,16 @@ def solve_structured(system: ConstraintSystem) -> List[SolutionFamily]:
 
 
 def _verify_family(system: ConstraintSystem, family: SolutionFamily):
-    samples: List[Dict[str, Fraction]] = [{}]
-    if family.free:
-        samples.append({p: Fraction(1 + i) for i, p in enumerate(family.free)})
-        samples.append({p: Fraction(-3, 2) for p in family.free})
-    for params in samples:
-        values = family.assignment(params)
-        for eq in system.equations:
-            if eq.poly.evaluate(values) != 0:
-                raise PreconditionViolated(
-                    f"internal inconsistency: family violates {eq}"
-                )
-        member = family.member(params)
-        if not member.verified:
-            raise PreconditionViolated(
-                "internal inconsistency: family member is not a chain map"
-            )
+    """Re-check a family exactly: every equation vanishes identically in the
+    free parameters, and the representative is a chain map."""
+    subs = family.substitution()
+    for eq in system.equations:
+        if not eq.poly.substitute(subs).is_zero():
+            raise PreconditionViolated(f"internal inconsistency: family violates {eq}")
+    if not family.representative().verified:
+        raise PreconditionViolated(
+            "internal inconsistency: family member is not a chain map"
+        )
 
 
 # -- homotopy classification -----------------------------------------------------
@@ -500,6 +499,7 @@ def classify_homotopy_set(
     members vanish on the complementary generators certifies an infinite
     set.
     """
+    require_graded(source, target)
     ansatz = generic_ansatz(source, target)
     system = constraint_system(ansatz)
     families = solve_structured(system)

@@ -6,12 +6,14 @@ arguments that do not exist on disk fall back to the bundled corpus, so
 ``dgalgebra check ex51.dga`` works from anywhere.
 
 Exit codes: 0 success, 2 parse error, 3 validation failure, 4 precondition
-violation, 5 undetermined result.
+violation, 5 undetermined result or a constraint system outside the solver's
+shape (``EXIT_CODES`` maps each error type to its code).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -159,10 +161,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_selfmaps(args) -> int:
     algebra = _load_valid_presentation(args.file)
-    try:
-        classification = classify_homotopy_set(algebra, algebra)
-    except UnsupportedShape as exc:
-        raise CliFailure(EXIT_UNDETERMINED, f"constraint system out of scope: {exc}")
+    classification = classify_homotopy_set(algebra, algebra)
     if classification.kind != "finite":
         raise CliFailure(
             EXIT_UNDETERMINED,
@@ -199,10 +198,7 @@ def cmd_selfmaps(args) -> int:
 def cmd_classify(args) -> int:
     source = _load_valid_presentation(args.source)
     target = _load_valid_presentation(args.target)
-    try:
-        classification = classify_homotopy_set(source, target)
-    except UnsupportedShape as exc:
-        raise CliFailure(EXIT_UNDETERMINED, f"constraint system out of scope: {exc}")
+    classification = classify_homotopy_set(source, target)
     data = {
         "command": "classify",
         "source": source.label,
@@ -443,20 +439,28 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_arg_parser = functools.cache(build_arg_parser)  # built on the first main() call
+
+# An error exits with the code of the first class on its MRO listed here;
+# a CliFailure carries its own code.
+EXIT_CODES = {
+    WeightsMissing: EXIT_PRECONDITION,
+    PreconditionViolated: EXIT_PRECONDITION,
+    ClassificationIncomplete: EXIT_PRECONDITION,
+    UnsupportedShape: EXIT_UNDETERMINED,
+    DgaError: EXIT_VALIDATION,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliFailure as exc:
+    except (CliFailure, DgaError) as exc:
         print(str(exc), file=sys.stderr)
-        return exc.code
-    except (WeightsMissing, PreconditionViolated, ClassificationIncomplete) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PRECONDITION
-    except DgaError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
+        if isinstance(exc, CliFailure):
+            return exc.code
+        return next(EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -7,27 +7,30 @@ subalgebra, and the obstruction assigns to each V1 generator w the class of
 
     f(w) + H(alpha(w) - w - hat(w)) - g(w)
 
-in the target cohomology at degree |w|.  The correction term lies in the
-sub-cylinder over V0 (so H applies) and the representative is always a
-cocycle; both facts are checked at runtime.  Vanishing of every class is
-exactly the condition for extending H over all of V, and the extension is
-written down from the coboundary witnesses.
+in the target cohomology at degree |w|.  The correction term only involves
+the plain, barred and hatted copies of V0 (so only H's bars on V0 matter)
+and the representative is always a cocycle; both facts are checked at
+runtime.  Every class is therefore computed on the source's one cylinder,
+by the homotopy from f with H's bars on V0 and zero bars elsewhere.
+Vanishing of every class is exactly the condition for extending H over all
+of V, and the extension is written down from the coboundary witnesses.
 
-The stage-wise nullhomotopy decision runs this over a filtration: either all
-stages extend (and the bar images assemble a full nullhomotopy) or the first
-obstructed stage yields a map f', homotopic to f, vanishing below the stage,
-whose per-generator classes are the failure certificate.  Both outcomes are
-exact and machine-checked.
+The stage-wise deciders run this over a filtration with one growing dict of
+bars: either all stages extend (and the bars give a full homotopy) or the
+first obstructed stage yields a map f', the end of the homotopy with the
+bars so far, homotopic to f and vanishing below the stage, whose
+per-generator classes are the failure certificate.  Both outcomes are exact
+and machine-checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .algebra import AlgebraPresentation, Element, Morphism, transfer_element
+from .algebra import AlgebraPresentation, Element, Morphism, require_graded
 from .cohomology import CohomologyClass, induced_map
-from .cylinder import Homotopy, build_cylinder, extend_homotopy_cofibration
+from .cylinder import Homotopy, build_cylinder
 from .errors import (
     HomotopyEndpointMismatch,
     InvalidDecomposition,
@@ -95,28 +98,34 @@ class ObstructionValue:
         return "obstruction:\n" + "\n".join(rows)
 
 
-def _correction_in_sub_cylinder(
-    decomposition: ObstructionDecomposition, h: Homotopy, w: str
-) -> Element:
-    """alpha(w) - w - hat(w), transported into the V0 sub-cylinder of H.
+def _obstruction_classes(
+    f: Morphism, g: Morphism, bars: Mapping[str, Element], names: List[str]
+) -> Dict[str, CohomologyClass]:
+    """The classes [f(w) + H(alpha(w) - w - hat(w)) - g(w)] at ``names`` for
+    ``H = Homotopy(build_cylinder(f.source), f, bars)``; unset bars are zero.
 
-    Checks the structural facts the construction relies on: the correction is
-    decomposable and only involves barred/hatted/plain copies of V0.
+    Checks the structural facts the construction relies on: each correction
+    is decomposable and only involves the plain, barred and hatted copies of
+    generators that carry a bar.
     """
-    algebra = decomposition.algebra
-    cyl_full = build_cylinder(algebra)
-    xi = cyl_full.correction(w)
-    sub_cyl = h.cylinder
-    allowed = set(sub_cyl.total.generator_names())
-    for m in xi.terms:
-        if m.factor_count() < 2:
-            raise LemmaViolation(f"correction of {w} has indecomposable term {m}")
-        for name in m.generator_names():
-            if name not in allowed:
+    cylinder = build_cylinder(f.source)
+    h_map = Homotopy(cylinder, f, bars).as_morphism()
+    allowed = set(bars)
+    allowed.update(cylinder.bar_name[n] for n in bars)
+    allowed.update(cylinder.hat_name[n] for n in bars)
+    classes = {}
+    for w in names:
+        xi = cylinder.correction(w)
+        for m in xi.terms:
+            if m.factor_count() < 2:
+                raise LemmaViolation(f"correction of {w} has indecomposable term {m}")
+            if not allowed.issuperset(m.generator_names()):
                 raise LemmaViolation(
                     f"correction of {w} escapes the V0 sub-cylinder (term {m})"
                 )
-    return transfer_element(xi, sub_cyl.total)
+        rep = f.images[w] + h_map.apply(xi) - g.images[w]
+        classes[w] = CohomologyClass(f.target, f.source.degree_of(w), rep)
+    return classes
 
 
 def compute_obstruction(
@@ -136,6 +145,7 @@ def compute_obstruction(
         raise PreconditionViolated("maps must be defined on the decomposed algebra")
     if f.target != g.target or h.target != f.target:
         raise PreconditionViolated("maps and homotopy must share a target")
+    require_graded(algebra, f.target)
     if not f.verified or not g.verified:
         raise PreconditionViolated("both maps must be chain maps")
     sub = decomposition.subalgebra()
@@ -149,12 +159,7 @@ def compute_obstruction(
         if end.images[name] != g.images[name]:
             raise HomotopyEndpointMismatch(f"homotopy does not end at g (at {name})")
 
-    h_map = h.as_morphism()
-    classes = {}
-    for w in decomposition.v1_ordered():
-        xi = _correction_in_sub_cylinder(decomposition, h, w)
-        rep = f.images[w] + h_map.apply(xi) - g.images[w]
-        classes[w] = CohomologyClass(f.target, algebra.degree_of(w), rep)
+    classes = _obstruction_classes(f, g, h.bar_images, decomposition.v1_ordered())
     return ObstructionValue(decomposition, f.target, classes)
 
 
@@ -176,8 +181,7 @@ def extend_to_homotopy(
         raise Obstructed(value)
     bars = dict(h.bar_images)
     for w in decomposition.v1_ordered():
-        witness = value.classes[w].coboundary_witness()
-        bars[w] = -witness
+        bars[w] = -value.classes[w].coboundary_witness()
     full = Homotopy(build_cylinder(decomposition.algebra), f, bars)
     end = full.end()
     for name in decomposition.algebra.generator_names():
@@ -211,11 +215,10 @@ def decide_homotopic_zero_restriction(
     sub = decomposition.subalgebra()
     h = Homotopy(build_cylinder(sub), Morphism.zero_map(sub, f.target), {})
     obstruction = compute_obstruction(f, g, h, decomposition)
-    try:
-        full = extend_to_homotopy(f, g, h, decomposition, _value=obstruction)
-        return ZeroRestrictionDecision(True, full, obstruction)
-    except Obstructed as e:
-        return ZeroRestrictionDecision(False, None, e.value)
+    if not obstruction.is_zero():
+        return ZeroRestrictionDecision(False, None, obstruction)
+    full = extend_to_homotopy(f, g, h, decomposition, _value=obstruction)
+    return ZeroRestrictionDecision(True, full, obstruction)
 
 
 # -- filtrations and the stage-wise decision ------------------------------------
@@ -282,40 +285,28 @@ class NullhomotopyResult:
 
 def _extend_by_stages(
     f: Morphism, g: Morphism, filtration: Filtration
-) -> Tuple[Optional[Homotopy], Optional[Tuple[int, Homotopy, ObstructionValue]]]:
+) -> Tuple[Optional[Homotopy], Optional[Tuple[int, Dict[str, Element], ObstructionValue]]]:
     """Extend a homotopy from f to g one filtration stage at a time, using
     the canonical coboundary witnesses; stops at the first obstructed stage.
 
-    Returns ``(homotopy, None)`` when every stage extends, otherwise
-    ``(None, (stage, homotopy below the stage, obstruction at the stage))``.
+    Every stage is computed on the source's one cylinder, with the bars found
+    so far.  Returns ``(homotopy, None)`` when every stage extends, otherwise
+    ``(None, (stage, bars below the stage, obstruction at the stage))``.
     """
     source = f.source
-    processed: List[str] = []
     bars: Dict[str, Element] = {}
     for s in filtration.stage_values():
         new = filtration.names_at(s)
-        sub_prev = source.subalgebra(processed)
-        sub_cur = source.subalgebra(processed + new)
-        h_prev = Homotopy(
-            build_cylinder(sub_prev),
-            f.restrict(sub_prev),
-            {n: bars[n] for n in processed},
-        )
-        decomposition = make_decomposition(sub_cur, new)
-        try:
-            extended = extend_to_homotopy(
-                f.restrict(sub_cur), g.restrict(sub_cur), h_prev, decomposition
-            )
-        except Obstructed as e:
-            return None, (s, h_prev, e.value)
-        for n in new:
-            bars[n] = extended.bar_images[n]
-        processed.extend(new)
+        classes = _obstruction_classes(f, g, bars, new)
+        if not all(c.is_zero() for c in classes.values()):
+            sub = source.subalgebra([*bars, *new])
+            value = ObstructionValue(make_decomposition(sub, new), f.target, classes)
+            return None, (s, bars, value)
+        for w in new:
+            bars[w] = -classes[w].coboundary_witness()
     full = Homotopy(build_cylinder(source), f, bars)
-    end = full.end()
-    for name in source.generator_names():
-        if end.images[name] != g.images[name]:
-            raise PreconditionViolated("internal inconsistency: stage-wise homotopy end mismatch")
+    if full.end().images != g.images:
+        raise PreconditionViolated("internal inconsistency: stage-wise homotopy end mismatch")
     return full, None
 
 
@@ -323,45 +314,38 @@ def decide_nullhomotopic(f: Morphism, filtration: Filtration) -> NullhomotopyRes
     """Decide whether f is homotopic to the zero map; sound and complete for
     finite presentations.
 
-    Stage loop: keep a homotopy from the current restriction of f to zero;
-    at each new stage compute the obstruction against the zero map.  A zero
-    obstruction extends the homotopy; a nonzero one is pushed through the
-    homotopy extension property to produce the certificate map f' with
-    f' homotopic to f, vanishing below the stage, and per-generator classes
-    [f'(w)] nonzero for some w.
+    Stage loop: keep bar images of a homotopy from f that ends at zero below
+    the current stage; at each new stage compute the obstruction against the
+    zero map.  A zero obstruction extends the bars; a nonzero one yields the
+    certificate map f', the end of the homotopy with the bars so far: f' is
+    homotopic to f, vanishes below the stage, and its per-generator classes
+    [f'(w)] are nonzero for some w.
     """
     if filtration.algebra != f.source:
         raise InvalidFiltration("filtration belongs to a different presentation")
     filtration.validate()
+    require_graded(f.source, f.target)
     if not f.verified:
         raise PreconditionViolated("decide_nullhomotopic needs a chain map")
-    target = f.target
-    full, failure = _extend_by_stages(f, Morphism.zero_map(f.source, target), filtration)
+    source = f.source
+    full, failure = _extend_by_stages(f, Morphism.zero_map(source, f.target), filtration)
     if failure is None:
         return NullhomotopyResult(True, homotopy=full)
-    stage, h_prev, value = failure
-    new = filtration.names_at(stage)
-    f_prime = extend_homotopy_cofibration(f, h_prev).end()
-    for w in new:
+    stage, bars, value = failure
+    f_prime = Homotopy(build_cylinder(source), f, bars).end()
+    for name in source.generator_names():
+        if filtration.stages[name] < stage and not f_prime.images[name].is_zero():
+            raise PreconditionViolated(
+                f"internal inconsistency: pushed map does not vanish below the stage (at {name})"
+            )
+    for w, c in value.classes.items():
         # the pushed map's value on w is literally the obstruction
         # representative computed against the partial homotopy
-        if f_prime.images[w] != value.classes[w].representative:
-            raise PreconditionViolated(
-                "internal inconsistency: pushed map disagrees with obstruction"
-            )
-    classes = {
-        w: CohomologyClass(target, f.source.degree_of(w), f_prime.images[w])
-        for w in new
-    }
-    obstruction = ObstructionValue(value.decomposition, target, classes)
-    if obstruction.is_zero():
-        raise PreconditionViolated(
-            "internal inconsistency: pushed obstruction vanished"
-        )
-    return NullhomotopyResult(
-        False,
-        failure=NullhomotopyFailure(stage, f_prime, obstruction),
-    )
+        if f_prime.images[w] != c.representative:
+            raise PreconditionViolated("internal inconsistency: pushed map is not the obstruction")
+    if value.is_zero():
+        raise PreconditionViolated("internal inconsistency: pushed obstruction vanished")
+    return NullhomotopyResult(False, failure=NullhomotopyFailure(stage, f_prime, value))
 
 
 # -- the general two-map pipeline --------------------------------------------------
@@ -406,6 +390,7 @@ def decide_homotopic(f: Morphism, g: Morphism) -> HomotopyDecision:
     """
     if f.source != g.source or f.target != g.target:
         raise PreconditionViolated("maps must share source and target")
+    require_graded(f.source, f.target)
     if not f.verified or not g.verified:
         raise PreconditionViolated("both maps must be chain maps")
     source, target = f.source, f.target

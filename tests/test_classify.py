@@ -8,6 +8,7 @@ from dgalgebra import classify
 from dgalgebra import (
     AlgebraPresentation,
     Morphism,
+    PreconditionViolated,
     classify_homotopy_set,
     constraint_system,
     generic_ansatz,
@@ -354,3 +355,18 @@ def test_family_z_image_matches_coboundary_form(ex52):
                 + p(nu3) * g.x1**6 * g.y1 * g.y3
             )
             assert member.images["z"] == c * g.z + ex52.d(correction)
+
+
+def test_family_violating_an_equation_off_the_old_sample_points_is_rejected():
+    # p(p - 1)(p + 3/2) vanishes at p = 0, 1 and -3/2 but not identically
+    source = AlgebraPresentation.build([("a", 2)], label="free")
+    target = AlgebraPresentation.build([("x", 2)], label="free2")
+    system = constraint_system(generic_ansatz(source, target))
+    assert system.equations == []
+    p = Poly.variable("a.0")
+    extra = p * (p - Poly.constant(1)) * (p + Poly.constant(Fraction(3, 2)))
+    system.equations.append(classify.Equation(extra, []))
+    family = classify.SolutionFamily(system.unknown_morphism, {}, ["a.0"], {})
+    assert family.representative().verified
+    with pytest.raises(PreconditionViolated, match="family violates"):
+        classify._verify_family(system, family)

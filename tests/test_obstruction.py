@@ -6,6 +6,7 @@ import pytest
 
 from dgalgebra import (
     AlgebraPresentation,
+    DegreeMismatch,
     Filtration,
     Homotopy,
     HomotopyEndpointMismatch,
@@ -13,6 +14,7 @@ from dgalgebra import (
     InvalidFiltration,
     Morphism,
     Obstructed,
+    PreconditionViolated,
     build_cylinder,
     compute_obstruction,
     decide_homotopic,
@@ -21,7 +23,8 @@ from dgalgebra import (
     extend_to_homotopy,
     make_decomposition,
 )
-from dgalgebra.parser import parse_morphism
+from dgalgebra.classify import classify_homotopy_set
+from dgalgebra.parser import parse_morphism, parse_presentation
 from dgalgebra import corpus
 from oracles import nullhomotopy_by_bar_search
 
@@ -438,3 +441,75 @@ def test_pipeline_complete_no_with_vanishing_core():
     assert decision.no
     assert decision.certificate["kind"] == "obstruction"
     assert decision.certificate["nonzero_at"] == ["v"]
+
+
+# -- one cylinder per source ----------------------------------------------------------
+
+
+def test_stage_search_yes_builds_no_subalgebra():
+    from conftest import load
+
+    fresh = load("ex52.dga")
+    assert decide_nullhomotopic(case_one_member(fresh), Filtration.by_degree(fresh)).nullhomotopic
+    assert fresh._sub_cache == {}
+
+    g = fresh.namespace()
+    images = {n: fresh.gen(n) for n in fresh.generator_names()}
+    images["z"] = g.z + fresh.d(g.x2**5 * g.y1 * g.y2)
+    decision = decide_homotopic(Morphism(fresh, fresh, images), Morphism.identity(fresh))
+    assert decision.yes and decision.detail == "stage-wise witness search"
+    assert fresh._sub_cache == {}
+
+
+def test_pushed_map_that_does_not_vanish_below_the_stage_is_caught(monkeypatch):
+    # f(a) = x^2 bounds, so the bar of a is the witness -t and the pushed map
+    # kills a; f(b) = s is essential, so stage 5 is obstructed
+    source = AlgebraPresentation.build([("a", 4), ("b", 5)], label="src")
+    target = AlgebraPresentation.build(
+        [("x", 2), ("t", 3), ("s", 5)], lambda g: {"t": g.x**2}, label="tgt"
+    )
+    f = Morphism(source, target, {"a": target.gen("x") ** 2, "b": target.gen("s")})
+    filtration = Filtration.by_degree(source)
+    failure = decide_nullhomotopic(f, filtration).failure
+    assert failure.stage == 5 and failure.modified_map.images["a"].is_zero()
+
+    from dgalgebra.cohomology import CohomologyClass
+
+    witness = CohomologyClass.coboundary_witness
+    monkeypatch.setattr(
+        CohomologyClass,
+        "coboundary_witness",
+        lambda self: None if witness(self) is None else 2 * witness(self),
+    )
+    with pytest.raises(PreconditionViolated, match="below the stage"):
+        decide_nullhomotopic(f, filtration)
+
+
+def misgraded_presentation():
+    # parsed without complaint, although |u^3| = 6 and |d v| should be 4
+    result = parse_presentation("algebra bad\ngenerator u : 2\ngenerator v : 3\nd v = u^3\n")
+    assert not result.diagnostics
+    return result.presentation
+
+
+@pytest.mark.parametrize(
+    "decide",
+    [
+        lambda f: decide_nullhomotopic(f, Filtration.by_degree(f.source)),
+        lambda f: decide_homotopic(f, Morphism.zero_map(f.source, f.target)),
+        lambda f: classify_homotopy_set(f.source, f.target),
+        lambda f: compute_obstruction(
+            f,
+            f,
+            Homotopy.constant(f).restrict(f.source.subalgebra(["u"])),
+            make_decomposition(f.source, ["v"]),
+        ),
+    ],
+    ids=["decide_nullhomotopic", "decide_homotopic", "classify_homotopy_set", "compute_obstruction"],
+)
+def test_deciders_reject_a_misgraded_differential(decide):
+    algebra = misgraded_presentation()
+    f = Morphism.identity(algebra)
+    assert f.verified
+    with pytest.raises(DegreeMismatch, match=r"d\(v\)"):
+        decide(f)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dgalgebra import corpus, validate_presentation
+from dgalgebra import corpus, errors, validate_presentation
 from dgalgebra.cli import main as cli_main
 from dgalgebra.parser import (
     MAX_NESTING,
@@ -666,3 +666,64 @@ def test_cli_cohomology_reports_zero_degrees():
     data = json.loads(out)
     assert data["degrees"]["3"]["dimension"] == 0
     assert data["degrees"]["0"]["dimension"] == 1
+
+
+# Each command with the name in ``dgalgebra.cli`` that its work goes through.
+COMMAND_CALLS = [
+    (["check", "ex51.dga"], "validate_presentation"),
+    (["cohomology", "ex53.dga", "--max-degree", "3"], "cohomology_at_degree"),
+    (["selfmaps", "ex51.dga"], "classify_homotopy_set"),
+    (["classify", "ex51.dga", "ex51.dga"], "classify_homotopy_set"),
+    (["nullhomotopic", "ex53.dga", "ex53.dga", "ex53_id.map"], "decide_nullhomotopic"),
+    (["homotopic", "ex53.dga", "ex53.dga", "ex53_id.map", "ex53_inv.map"], "decide_homotopic"),
+    (
+        ["obstruction", "ex53.dga", "ex53.dga", "ex53_id.map", "ex53_id.map", "--v0", "x1,x2,y1,y2,y3"],
+        "compute_obstruction",
+    ),
+    (
+        ["family", "free_even.dga", "free_even_weighted.dga", "w_to_x.map", "--lambda", "2"],
+        "verify_infinite_family",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, name", COMMAND_CALLS, ids=[c[0][0] for c in COMMAND_CALLS])
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.WeightsMissing, 4),
+        (errors.PreconditionViolated, 4),
+        (errors.ClassificationIncomplete, 4),
+        (errors.UnsupportedShape, 5),
+        (errors.NonRationalRoot, 3),
+        (errors.DegreeMismatch, 3),
+        (errors.LemmaViolation, 3),
+        (errors.DgaError, 3),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+)
+def test_cli_exit_code_of_each_error_in_each_command(monkeypatch, argv, name, error, code):
+    from dgalgebra import cli
+
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, name, fail)
+    assert run_cli(*argv) == (code, "", "injected\n")
+
+
+def test_cli_builds_its_parser_once(monkeypatch):
+    import argparse
+
+    assert run_cli("check", "ex51.dga")[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(3):
+        assert run_cli("check", "ex51.dga")[0] == 0
+    assert built == []
