@@ -35,6 +35,7 @@ from .errors import (
 from .linalg import (
     MultiplicativeSystem,
     RationalMatrix,
+    rref,
     rref_solve,
     solve_multiplicative_system,
 )
@@ -167,9 +168,17 @@ class SolutionFamily:
     fixed: Dict[str, Fraction]
     free: List[str]
     dependent: Dict[str, AffineExpr]
+    _representative: Optional[Morphism] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def assignment(self, params: Optional[Dict[str, Fraction]] = None) -> Dict[str, Fraction]:
         params = {k: Fraction(v) for k, v in (params or {}).items()}
+        unknown = sorted(set(params) - set(self.free))
+        if unknown:
+            raise PreconditionViolated(
+                f"not a free parameter of this family: {', '.join(unknown)}"
+            )
         values = dict(self.fixed)
         for p in self.free:
             values[p] = params.get(p, Fraction(0))
@@ -181,7 +190,11 @@ class SolutionFamily:
         return self.unknown_morphism.evaluate(self.assignment(params))
 
     def representative(self) -> Morphism:
-        return self.member()
+        """The parameter-zero member, built on first use and kept, so its
+        chain check runs once; a family is not changed after it is made."""
+        if self._representative is None:
+            self._representative = self.member()
+        return self._representative
 
     def substitution(self) -> Dict[str, Poly]:
         """Fixed and dependent unknowns as polynomials in the free parameters."""
@@ -192,11 +205,6 @@ class SolutionFamily:
                 p = p + Poly.variable(pname) * c
             subs[name] = p
         return subs
-
-    def parametrized_image(self, gen_name: str) -> SymbolicElement:
-        """The generator image with fixed and dependent unknowns substituted;
-        only free parameters remain."""
-        return self.unknown_morphism.images[gen_name].substitute(self.substitution())
 
 
 def _case_split(
@@ -451,11 +459,9 @@ def _family_collapses(family: SolutionFamily) -> Tuple[str, Optional[dict]]:
         return "collapses", None
     ansatz = family.unknown_morphism
     source, target = ansatz.source, ansatz.target
-    param_gens = []
-    for g in source.generators:
-        img = family.parametrized_image(g.name)
-        if img.variables():
-            param_gens.append(g.name)
+    subs = family.substitution()
+    images = {n: img.substitute(subs) for n, img in ansatz.images.items()}
+    param_gens = [g.name for g in source.generators if images[g.name].variables()]
     try:
         decomposition = make_decomposition(source, param_gens)
     except InvalidDecomposition:
@@ -467,7 +473,7 @@ def _family_collapses(family: SolutionFamily) -> Tuple[str, Optional[dict]]:
     )
     for p in family.free:
         for w in param_gens:
-            direction = family.parametrized_image(w).evaluate(
+            direction = images[w].evaluate(
                 {q: Fraction(1) if q == p else Fraction(0) for q in family.free}
             ) - rep.images[w]
             if direction.is_zero():
@@ -558,7 +564,11 @@ class SelfEquivalenceGroup:
 
 def self_equivalence_group(algebra: AlgebraPresentation) -> SelfEquivalenceGroup:
     """Homotopy classes of self-maps inducing cohomology isomorphisms in all
-    degrees up to the top generator degree, with their composition table."""
+    degrees up to the top generator degree, with their composition table.
+
+    An invertible linear part Q(f) certifies a class, which needs only
+    generator degrees >= 1; a singular Q(f) falls back to checking H(f) in
+    each degree 0..top (see :func:`_equivalence_group`)."""
     result = classify_homotopy_set(algebra, algebra)
     if result.kind != "finite":
         raise ClassificationIncomplete(
@@ -567,14 +577,42 @@ def self_equivalence_group(algebra: AlgebraPresentation) -> SelfEquivalenceGroup
     return _equivalence_group(algebra, result)
 
 
+def _linear_part_invertible(f: Morphism) -> bool:
+    """Whether the linear part Q(f): V -> V of a self-map is invertible: one
+    square matrix per generator degree, the coefficients of f(g) on the
+    generators of degree |g|, one ``rref`` each."""
+    algebra = f.source
+    for k in {g.degree for g in algebra.generators}:
+        names = [g.name for g in algebra.generators if g.degree == k]
+        column = {m: j for j, n in enumerate(names) for m in algebra.gen(n).terms}
+        entries = {
+            (i, column[m]): c
+            for i, n in enumerate(names)
+            for m, c in f.images[n].terms.items()
+            if m in column
+        }
+        if len(rref(RationalMatrix(len(names), len(names), entries))[1]) < len(names):
+            return False
+    return True
+
+
 def _equivalence_group(
     algebra: AlgebraPresentation, result: ClassificationResult
 ) -> SelfEquivalenceGroup:
-    """The self-equivalence group read off a finite self-map classification."""
+    """The self-equivalence group read off a finite self-map classification.
+
+    With every generator in degree >= 1 (as :class:`Generator` enforces), an
+    invertible Q(f) makes f an algebra automorphism by graded Nakayama (FHT,
+    GTM 205, §12), so a chain map f is a chain isomorphism and H(f) is an
+    isomorphism in every degree.  Only a singular Q(f) falls back to checking
+    H(f) in each degree 0..top."""
     bound = algebra.max_generator_degree()
     equivalences: List[HomotopyClass] = []
     for cls in result.classes:
-        if all(induced_map_is_isomorphism(cls.representative, n) for n in range(bound + 1)):
+        f = cls.representative
+        if _linear_part_invertible(f) or all(
+            induced_map_is_isomorphism(f, n) for n in range(bound + 1)
+        ):
             equivalences.append(cls)
 
     identity = Morphism.identity(algebra)

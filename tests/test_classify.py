@@ -1,5 +1,6 @@
 """Morphism enumeration, structured solving, homotopy classification."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from dgalgebra import (
     solve_structured,
 )
 from dgalgebra.symbolic import Poly
+from conftest import load
 
 
 def row_lattice_hnf(rows):
@@ -370,3 +372,43 @@ def test_family_violating_an_equation_off_the_old_sample_points_is_rejected():
     assert family.representative().verified
     with pytest.raises(PreconditionViolated, match="family violates"):
         classify._verify_family(system, family)
+
+
+def test_member_and_assignment_reject_an_unknown_parameter(ex52):
+    families = solve_structured(constraint_system(generic_ansatz(ex52, ex52)))
+    family = families[1]
+    typo = family.free[0] + "x"
+    not_free = next(iter(family.dependent))
+    for call in (family.member, family.assignment):
+        for name in (typo, not_free):
+            with pytest.raises(PreconditionViolated, match=re.escape(name)):
+                call({name: Fraction(1)})
+    assert family.member({family.free[0]: Fraction(0)}) == family.representative()
+
+
+def test_equivalence_classes_skip_the_top_degree_scan():
+    # an invertible linear part certifies each equivalence, so H^n is never
+    # computed up to the top generator degree; fresh copies, because the
+    # session fixtures share their cohomology caches with other tests
+    for name, label in (("ex51.dga", "trivial"), ("ex52.dga", "trivial"), ("ex53.dga", "Z2")):
+        algebra = load(name)
+        assert self_equivalence_group(algebra).label == label
+        assert max(algebra._cohomology_cache) < algebra.max_generator_degree()
+
+
+def test_representative_is_built_and_chain_checked_once(ex51, monkeypatch):
+    computed = []
+    original = Morphism.chain_report
+
+    def counting(self):
+        if self._chain_report is None:
+            computed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Morphism, "chain_report", counting)
+    families = solve_structured(constraint_system(generic_ansatz(ex51, ex51)))
+    for family in families:
+        assert family.representative() is family.representative()
+        assert family.representative().verified and family.representative().verified
+        assert "_representative" not in repr(family)
+    assert len(computed) == len(families)

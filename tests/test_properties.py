@@ -17,6 +17,7 @@ from dgalgebra import (
     Homotopy,
     Morphism,
     build_cylinder,
+    classify_homotopy_set,
     compute_obstruction,
     decide_nullhomotopic,
     extend_to_homotopy,
@@ -24,14 +25,15 @@ from dgalgebra import (
 )
 from dgalgebra import algebra as algebra_module
 from dgalgebra.algebra import extend_derivation, normalize_monomial, transfer_element
-from dgalgebra.classify import generic_ansatz
+from dgalgebra.classify import _linear_part_invertible, generic_ansatz
 from dgalgebra.cohomology import (
     class_coordinates,
     cohomology_at_degree,
     differential_matrix,
+    induced_map_is_isomorphism,
     weight_split_cohomology,
 )
-from dgalgebra.errors import NotACocycle, Obstructed
+from dgalgebra.errors import NotACocycle, Obstructed, UnsupportedShape
 from dgalgebra.linalg import rref_solve
 from dgalgebra.obstruction import Filtration
 from conftest import load
@@ -556,6 +558,31 @@ def test_verdict_independent_of_stage_witness_choice(source, target, draw):
         end = h.end()
         for name in source.generator_names():
             assert end.images[name].is_zero()
+
+
+# -- the linear-part certificate against the cohomology scan --------------------
+
+
+def _isomorphism_up_to_top(f):
+    return all(induced_map_is_isomorphism(f, n) for n in range(f.source.max_generator_degree() + 1))
+
+
+@given(st.one_of(minimal_algebras(), st.sampled_from(CORPUS[:3])), st.data())
+@settings(max_examples=40)
+def test_invertible_linear_part_implies_isomorphism_in_every_degree(algebra, draw):
+    """A chain self-map with invertible Q(f) passes the full degree scan."""
+    try:
+        families = classify_homotopy_set(algebra, algebra).families
+    except UnsupportedShape:
+        assume(False)
+    family = draw.draw(st.sampled_from(families))
+    f = family.member({p: draw.draw(rationals) for p in family.free})
+    assert f.verified
+    if _linear_part_invertible(f):
+        assert _isomorphism_up_to_top(f)
+    identity = Morphism.identity(algebra)
+    assert _linear_part_invertible(identity) and _isomorphism_up_to_top(identity)
+    assert not _linear_part_invertible(Morphism.zero_map(algebra, algebra))
 
 
 # -- the exponent-vector kernel against the normaliser by transpositions --------
