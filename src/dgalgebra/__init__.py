@@ -35,12 +35,7 @@ from .cohomology import (
     nilpotency_witness,
     weight_split_cohomology,
 )
-from .cylinder import (
-    CylinderAlgebra,
-    Homotopy,
-    build_cylinder,
-    extend_homotopy_cofibration,
-)
+from .cylinder import CylinderAlgebra, Homotopy, build_cylinder
 from .errors import (
     ClassificationIncomplete,
     DegreeMismatch,
@@ -52,7 +47,6 @@ from .errors import (
     LemmaViolation,
     NonRationalRoot,
     NotACocycle,
-    NotACofibration,
     Obstructed,
     PreconditionViolated,
     PresentationMismatch,

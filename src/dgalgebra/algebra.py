@@ -133,12 +133,33 @@ class Monomial:
         return [g.name for g, e in zip(self.generators, self.exponents) if e]
 
     def __str__(self) -> str:
-        if not self.degree:
-            return "1"
-        return "*".join(n if e == 1 else f"{n}^{e}" for n, e in self.factors)
+        return _product_text(self.factors) or "1"
 
     def __repr__(self):
         return f"Monomial(factors={self.factors!r}, degree={self.degree!r})"
+
+
+def _product_text(factors) -> str:
+    """``a*b^2`` for ``((name, exponent), ...)``; empty without factors."""
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in factors)
+
+
+def _signed_sum_text(terms) -> str:
+    """``c1*p1 - c2*p2 + ...`` for ``(coefficient, factors)`` pairs with
+    nonzero coefficients; a term without factors prints as its coefficient,
+    and no terms as ``0``.  Elements and polynomials print through it."""
+    parts = []
+    for c, factors in terms:
+        body = _product_text(factors)
+        if not body:
+            body = str(abs(c))
+        elif abs(c) != 1:
+            body = f"{abs(c)}*{body}"
+        if parts:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts) or "0"
 
 
 def _as_fraction(c) -> Fraction:
@@ -564,21 +585,7 @@ class Element:
         return hash(frozenset(self.terms.items()))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            if m.is_unit():
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = str(m)
-            else:
-                body = f"{abs(c)}*{m}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _signed_sum_text((c, m.factors) for m, c in self.sorted_terms())
 
     __repr__ = __str__
 
@@ -931,14 +938,6 @@ class Morphism:
     @property
     def verified(self) -> bool:
         return not self.chain_report()
-
-    def restrict(self, sub: AlgebraPresentation) -> "Morphism":
-        """Restriction along a named-generator inclusion ``sub -> source``."""
-        images = {}
-        for g in sub.generators:
-            self.source.generator(g.name)
-            images[g.name] = self.images[g.name]
-        return Morphism(sub, self.target, images)
 
     def __eq__(self, other):
         if not isinstance(other, Morphism):

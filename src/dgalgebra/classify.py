@@ -214,10 +214,12 @@ def _case_split(
     results: List[Dict[str, Fraction]] = []
     order_index = {v: k for k, v in enumerate(var_order)}
 
-    def recurse(current: List[Poly], fixed: Dict[str, Fraction], nonzero: frozenset):
+    def recurse(current: List[Poly], fixed: Dict[str, Fraction], nonzero: frozenset, zero: Optional[str]):
+        # ``current`` has every earlier value substituted; only ``zero``,
+        # the unknown this branch newly fixes to zero, is left to substitute
         simplified: List[Poly] = []
         for p in current:
-            q = p.substitute({v: Poly.constant(val) for v, val in fixed.items()})
+            q = p if zero is None else p.substitute({zero: Poly.constant(0)})
             if q.is_zero():
                 continue
             if q.is_constant():
@@ -234,8 +236,8 @@ def _case_split(
         )
         if undecided:
             v = undecided[0]
-            recurse(simplified, {**fixed, v: Fraction(0)}, nonzero)
-            recurse(simplified, fixed, nonzero | {v})
+            recurse(simplified, {**fixed, v: Fraction(0)}, nonzero, v)
+            recurse(simplified, fixed, nonzero | {v}, None)
             return
 
         live = sorted({v for p in simplified for v in p.variables()}, key=order_index.__getitem__)
@@ -273,7 +275,7 @@ def _case_split(
         for sol in solutions.solutions:
             results.append({**fixed, **dict(zip(live, sol))})
 
-    recurse(list(polys), {}, frozenset())
+    recurse(list(polys), {}, frozenset(), None)
     return results
 
 

@@ -23,7 +23,7 @@ from . import corpus
 from .algebra import AlgebraPresentation, Morphism, validate_presentation
 from .classify import _equivalence_group, classify_homotopy_set
 from .cohomology import cohomology_at_degree, weight_split_cohomology
-from .cylinder import Homotopy, build_cylinder
+from .cylinder import Homotopy
 from .errors import (
     ClassificationIncomplete,
     DgaError,
@@ -304,16 +304,12 @@ def cmd_obstruction(args) -> int:
     if unknown:
         raise InvalidDecomposition(f"unknown generators in V0: {sorted(unknown)}")
     decomposition = make_decomposition(source, [n for n in source.generator_names() if n not in v0])
-    sub = decomposition.subalgebra()
-    f0 = f.restrict(sub)
-    g0 = g.restrict(sub)
-    if f0.images != g0.images:
+    if any(f.images[n] != g.images[n] for n in decomposition.v0_ordered()):
         raise CliFailure(
             EXIT_PRECONDITION,
             "the maps differ on the chosen V0; supply maps agreeing there",
         )
-    h = Homotopy(build_cylinder(sub), f0, {})
-    value = compute_obstruction(f, g, h, decomposition)
+    value = compute_obstruction(f, g, Homotopy.constant(f), decomposition)
     data = {
         "command": "obstruction",
         "v0": sorted(v0),

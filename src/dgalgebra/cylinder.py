@@ -11,7 +11,12 @@ A homotopy from f to g is an algebra map H on the cylinder with
 ``H restricted to the plain copy = f`` and ``H . alpha restricted = g``.
 Storing a homotopy as (start map, bar images) and deriving
 ``H(hat v) = d(H(bar v))`` makes the chain-map condition hold by
-construction, so no invalid homotopy state can be represented.
+construction, so no invalid homotopy state can be represented.  Unset bars
+are zero, and zero bars extend a homotopy on a d-closed set of generators
+along the cofibration into the whole algebra, the relative cylinder of
+Félix–Halperin–Thomas (GTM 205, §14); so a homotopy on a
+subalgebra lives on the algebra's one cylinder, and no sub-cylinder or
+restriction is needed.
 
 Termination of the alpha series: each application of gamma either converts
 a plain factor v into hat v or into a term of i(d v) whose plain part has
@@ -33,12 +38,7 @@ from .algebra import (
     extend_derivation,
     transfer_element,
 )
-from .errors import (
-    DegreeMismatch,
-    HomotopyEndpointMismatch,
-    NotACofibration,
-    PresentationMismatch,
-)
+from .errors import DegreeMismatch, PresentationMismatch
 
 
 class CylinderAlgebra:
@@ -117,8 +117,8 @@ class CylinderAlgebra:
         return acc
 
     def correction(self, name: str) -> Element:
-        """alpha(v) - v - hat(v) for a base generator; decomposable, and inside
-        the sub-cylinder of any valid base for the obstruction machinery."""
+        """alpha(v) - v - hat(v) for a base generator; decomposable, and only
+        involving copies of V0 in any valid decomposition with v in V1."""
         g = self.base.generator(name)
         return (
             self._alpha_generator(name)
@@ -184,57 +184,18 @@ class Homotopy:
             self._morphism = Morphism(self.cylinder.total, self.target, images)
         return self._morphism
 
+    def end_image(self, name: str) -> Element:
+        """The end map's image of the base generator ``name``, H(alpha(name))."""
+        return self.as_morphism().apply(self.cylinder.alpha(self.cylinder.total.gen(name)))
+
     def end(self) -> Morphism:
         if self._end is None:
-            h = self.as_morphism()
-            images = {
-                g.name: h.apply(self.cylinder.alpha(self.cylinder.total.gen(g.name)))
-                for g in self.cylinder.base.generators
-            }
+            images = {g.name: self.end_image(g.name) for g in self.cylinder.base.generators}
             self._end = Morphism(self.cylinder.base, self.target, images)
         return self._end
-
-    def restrict(self, sub: AlgebraPresentation) -> "Homotopy":
-        cyl = build_cylinder(sub)
-        return Homotopy(
-            cyl,
-            self.start.restrict(sub),
-            {g.name: self.bar_images[g.name] for g in sub.generators},
-        )
 
     @classmethod
     def constant(cls, f: Morphism) -> "Homotopy":
         """The zero-bars homotopy from f to f."""
         return cls(build_cylinder(f.source), f, {})
 
-
-def extend_homotopy_cofibration(f: Morphism, h: Homotopy) -> Homotopy:
-    """Extend a homotopy along the inclusion of its base into f's source.
-
-    The inclusion must be a cofibration: the base generators are a subset of
-    the source generators and the base is closed under d.  (Ordering the new
-    generators by degree always satisfies the basis condition, because
-    differentials only involve strictly lower degrees.)  The extension keeps
-    h's bar images and gives every new generator bar image zero, so it starts
-    at f and restricts to h.
-    """
-    base = h.cylinder.base
-    source = f.source
-    base_names = set(base.generator_names())
-    for name in base_names:
-        source.generator(name)
-        img_sub = base.differential_image(name)
-        img_full = source.differential_image(name)
-        if transfer_element(img_sub, source) != img_full:
-            raise NotACofibration(f"d({name}) differs between base and extension")
-        for m in img_full.terms:
-            for n in m.generator_names():
-                if n not in base_names:
-                    raise NotACofibration(f"base is not d-closed at {name}")
-    for name in base_names:
-        if h.start.images[name] != f.images[name]:
-            raise HomotopyEndpointMismatch(
-                f"homotopy does not start at the restriction of f (at {name})"
-            )
-    bars = dict(h.bar_images)
-    return Homotopy(build_cylinder(source), f, bars)

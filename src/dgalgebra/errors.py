@@ -46,11 +46,8 @@ class HomotopyEndpointMismatch(DgaError):
 
 
 class LemmaViolation(DgaError):
-    """A correction term escaped the base sub-cylinder; the decomposition is bad."""
-
-
-class NotACofibration(DgaError):
-    pass
+    """A correction term involves a generator that carries no bar, or is
+    indecomposable; the decomposition is bad."""
 
 
 class PreconditionViolated(DgaError):

@@ -10,23 +10,26 @@ subalgebra, and the obstruction assigns to each V1 generator w the class of
 in the target cohomology at degree |w|.  The correction term only involves
 the plain, barred and hatted copies of V0 (so only H's bars on V0 matter)
 and the representative is always a cocycle; both facts are checked at
-runtime.  Every class is therefore computed on the source's one cylinder,
-by the homotopy from f with H's bars on V0 and zero bars elsewhere.
-Vanishing of every class is exactly the condition for extending H over all
-of V, and the extension is written down from the coboundary witnesses.
+runtime.  A homotopy on V0 is therefore given on the source's one cylinder:
+it starts at f, only its bars on V0 are read, and its bars on V1 are zero.
+Zero bars on V1 are the extension of a homotopy on the V0 subalgebra along
+the cofibration into the whole source.  Vanishing of every class is exactly
+the condition for extending H over all of V, and the extension is written
+down from the coboundary witnesses.
 
-The stage-wise deciders run this over a filtration with one growing dict of
-bars: either all stages extend (and the bars give a full homotopy) or the
-first obstructed stage yields a map f', the end of the homotopy with the
-bars so far, homotopic to f and vanishing below the stage, whose
-per-generator classes are the failure certificate.  Both outcomes are exact
-and machine-checked.
+Every entry point runs one stage loop with one growing dict of bars: the
+extension of H is the single stage V1 started from H's bars on V0, and the
+stage-wise deciders run over a filtration from no bars.  Either all stages
+extend (and the bars give a full homotopy) or the first obstructed stage
+yields a map f', the end of the homotopy with the bars so far, homotopic to
+f and vanishing below the stage, whose per-generator classes are the
+failure certificate.  Both outcomes are exact and machine-checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .algebra import AlgebraPresentation, Element, Morphism, require_graded
 from .cohomology import CohomologyClass, induced_map
@@ -48,9 +51,6 @@ class ObstructionDecomposition:
     algebra: AlgebraPresentation
     v0: frozenset
     v1: frozenset
-
-    def subalgebra(self) -> AlgebraPresentation:
-        return self.algebra.subalgebra(self.v0)
 
     def v1_ordered(self) -> List[str]:
         return [g.name for g in self.algebra.generators if g.name in self.v1]
@@ -83,7 +83,6 @@ def make_decomposition(algebra: AlgebraPresentation, v1) -> ObstructionDecomposi
 class ObstructionValue:
     """The per-generator obstruction classes of a pair of maps."""
 
-    decomposition: ObstructionDecomposition
     target: AlgebraPresentation
     classes: Dict[str, CohomologyClass]
 
@@ -121,11 +120,52 @@ def _obstruction_classes(
                 raise LemmaViolation(f"correction of {w} has indecomposable term {m}")
             if not allowed.issuperset(m.generator_names()):
                 raise LemmaViolation(
-                    f"correction of {w} escapes the V0 sub-cylinder (term {m})"
+                    f"correction of {w} escapes the copies of the generators with a bar (term {m})"
                 )
         rep = f.images[w] + h_map.apply(xi) - g.images[w]
         classes[w] = CohomologyClass(f.target, f.source.degree_of(w), rep)
     return classes
+
+
+def _check_maps(f: Morphism, g: Morphism, decomposition: ObstructionDecomposition):
+    """f and g are chain maps out of the decomposed algebra into one target."""
+    algebra = decomposition.algebra
+    if f.source != algebra or g.source != algebra:
+        raise PreconditionViolated("maps must be defined on the decomposed algebra")
+    if f.target != g.target:
+        raise PreconditionViolated("maps must share a target")
+    require_graded(algebra, f.target)
+    if not f.verified or not g.verified:
+        raise PreconditionViolated("both maps must be chain maps")
+
+
+def _v0_bars(
+    f: Morphism, g: Morphism, h: Homotopy, decomposition: ObstructionDecomposition
+) -> Dict[str, Element]:
+    """H's bars on V0, once the preconditions of a homotopy on V0 hold: H
+    lives on the decomposed algebra's cylinder, maps into the target of f
+    and g, has zero bars on V1, and starts at f and ends at g on V0."""
+    _check_maps(f, g, decomposition)
+    if h.target != f.target:
+        raise PreconditionViolated("maps and homotopy must share a target")
+    if h.cylinder.base != decomposition.algebra:
+        raise HomotopyEndpointMismatch("homotopy is not defined on the decomposed algebra")
+    for w in decomposition.v1_ordered():
+        if not h.bar_images[w].is_zero():
+            raise PreconditionViolated(f"homotopy has a nonzero bar on V1 (at {w})")
+    v0 = decomposition.v0_ordered()
+    for name in v0:
+        if h.start.images[name] != f.images[name]:
+            raise HomotopyEndpointMismatch(f"homotopy does not start at f (at {name})")
+    for name in v0:
+        if h.end_image(name) != g.images[name]:
+            raise HomotopyEndpointMismatch(f"homotopy does not end at g (at {name})")
+    return {name: h.bar_images[name] for name in v0}
+
+
+def _v1_stage(decomposition: ObstructionDecomposition) -> List[Tuple[int, List[str]]]:
+    """V1 as stage 1 of the two-stage filtration V0 < V1."""
+    return [(1, decomposition.v1_ordered())]
 
 
 def compute_obstruction(
@@ -136,31 +176,14 @@ def compute_obstruction(
 ) -> ObstructionValue:
     """The obstruction to extending H to a homotopy from f to g.
 
+    H is a homotopy on V0, given on the cylinder of the decomposed algebra:
+    only its bars on V0 are read, and its bars on V1 must be zero.
     Preconditions checked: f and g are chain maps out of the decomposed
-    algebra into a common target, H lives on the V0 subalgebra, starts at
-    the restriction of f and ends at the restriction of g.
+    algebra into a common target, H maps there too, has zero bars on V1,
+    and starts at f and ends at g on the V0 generators.
     """
-    algebra = decomposition.algebra
-    if f.source != algebra or g.source != algebra:
-        raise PreconditionViolated("maps must be defined on the decomposed algebra")
-    if f.target != g.target or h.target != f.target:
-        raise PreconditionViolated("maps and homotopy must share a target")
-    require_graded(algebra, f.target)
-    if not f.verified or not g.verified:
-        raise PreconditionViolated("both maps must be chain maps")
-    sub = decomposition.subalgebra()
-    if h.cylinder.base != sub:
-        raise HomotopyEndpointMismatch("homotopy is not defined on the V0 subalgebra")
-    for name in decomposition.v0_ordered():
-        if h.start.images[name] != f.images[name]:
-            raise HomotopyEndpointMismatch(f"homotopy does not start at f (at {name})")
-    end = h.end()
-    for name in decomposition.v0_ordered():
-        if end.images[name] != g.images[name]:
-            raise HomotopyEndpointMismatch(f"homotopy does not end at g (at {name})")
-
-    classes = _obstruction_classes(f, g, h.bar_images, decomposition.v1_ordered())
-    return ObstructionValue(decomposition, f.target, classes)
+    bars = _v0_bars(f, g, h, decomposition)
+    return ObstructionValue(f.target, _obstruction_classes(f, g, bars, decomposition.v1_ordered()))
 
 
 def extend_to_homotopy(
@@ -168,27 +191,18 @@ def extend_to_homotopy(
     g: Morphism,
     h: Homotopy,
     decomposition: ObstructionDecomposition,
-    _value: Optional[ObstructionValue] = None,
 ) -> Homotopy:
     """Extend H over the whole algebra, or raise :class:`Obstructed`.
 
-    When every obstruction class vanishes, the canonical coboundary
-    witnesses become the bar images of the V1 generators; the resulting
-    homotopy starts at f, restricts to H, and its end map is g exactly.
+    The preconditions are those of :func:`compute_obstruction`.  When every
+    obstruction class vanishes, the canonical coboundary witnesses become
+    the bar images of the V1 generators; the resulting homotopy starts at f,
+    has H's bars on V0, and its end map is g exactly.
     """
-    value = _value if _value is not None else compute_obstruction(f, g, h, decomposition)
+    bars = _v0_bars(f, g, h, decomposition)
+    full, _, value = _extend_by_stages(f, g, _v1_stage(decomposition), bars)
     if not value.is_zero():
         raise Obstructed(value)
-    bars = dict(h.bar_images)
-    for w in decomposition.v1_ordered():
-        bars[w] = -value.classes[w].coboundary_witness()
-    full = Homotopy(build_cylinder(decomposition.algebra), f, bars)
-    end = full.end()
-    for name in decomposition.algebra.generator_names():
-        if end.images[name] != g.images[name]:
-            raise HomotopyEndpointMismatch(
-                f"extension failed to end at g (at {name})"
-            )
     return full
 
 
@@ -207,18 +221,18 @@ def decide_homotopic_zero_restriction(
     In that situation the obstruction does not depend on the choice of
     homotopy between the restrictions, so the zero homotopy decides.
     """
-    for name in decomposition.v0_ordered():
+    _check_maps(f, g, decomposition)
+    v0 = decomposition.v0_ordered()
+    for name in v0:
         if not f.images[name].is_zero() or not g.images[name].is_zero():
             raise PreconditionViolated(
                 f"both maps must vanish on V0 (generator {name})"
             )
-    sub = decomposition.subalgebra()
-    h = Homotopy(build_cylinder(sub), Morphism.zero_map(sub, f.target), {})
-    obstruction = compute_obstruction(f, g, h, decomposition)
-    if not obstruction.is_zero():
-        return ZeroRestrictionDecision(False, None, obstruction)
-    full = extend_to_homotopy(f, g, h, decomposition, _value=obstruction)
-    return ZeroRestrictionDecision(True, full, obstruction)
+    zero = {name: f.target.zero() for name in v0}  # the corrections may use V0
+    full, _, value = _extend_by_stages(f, g, _v1_stage(decomposition), zero)
+    if not value.is_zero():
+        return ZeroRestrictionDecision(False, None, value)
+    return ZeroRestrictionDecision(True, full, value)
 
 
 # -- filtrations and the stage-wise decision ------------------------------------
@@ -260,12 +274,11 @@ class Filtration:
                         )
         return self
 
-    def stage_values(self) -> List[int]:
-        return sorted(set(self.stages.values()))
-
-    def names_at(self, stage: int) -> List[str]:
+    def in_order(self) -> List[Tuple[int, List[str]]]:
+        """``(stage, generator names)`` for each stage, lowest first."""
         return [
-            g.name for g in self.algebra.generators if self.stages[g.name] == stage
+            (s, [g.name for g in self.algebra.generators if self.stages[g.name] == s])
+            for s in sorted(set(self.stages.values()))
         ]
 
 
@@ -284,30 +297,35 @@ class NullhomotopyResult:
 
 
 def _extend_by_stages(
-    f: Morphism, g: Morphism, filtration: Filtration
-) -> Tuple[Optional[Homotopy], Optional[Tuple[int, Dict[str, Element], ObstructionValue]]]:
-    """Extend a homotopy from f to g one filtration stage at a time, using
-    the canonical coboundary witnesses; stops at the first obstructed stage.
+    f: Morphism,
+    g: Morphism,
+    stages: Iterable[Tuple[int, List[str]]],
+    bars: Mapping[str, Element],
+) -> Tuple[Homotopy, Optional[int], ObstructionValue]:
+    """Extend a homotopy from f towards g one stage at a time, using the
+    canonical coboundary witnesses; stops at the first obstructed stage.
 
-    Every stage is computed on the source's one cylinder, with the bars found
-    so far.  Returns ``(homotopy, None)`` when every stage extends, otherwise
-    ``(None, (stage, bars below the stage, obstruction at the stage))``.
+    ``stages`` lists ``(stage, generator names)`` in order, and ``bars`` are
+    the starting bars, read by every stage; unset bars are zero.  Every
+    stage is computed on the source's one cylinder.  Returns ``(homotopy,
+    stage, value)`` for the last stage computed: when ``value`` is zero,
+    every stage extended and the homotopy from f ends at g; otherwise
+    ``value`` is the obstruction at ``stage`` and the homotopy carries the
+    bars below it.
     """
-    source = f.source
-    bars: Dict[str, Element] = {}
-    for s in filtration.stage_values():
-        new = filtration.names_at(s)
-        classes = _obstruction_classes(f, g, bars, new)
-        if not all(c.is_zero() for c in classes.values()):
-            sub = source.subalgebra([*bars, *new])
-            value = ObstructionValue(make_decomposition(sub, new), f.target, classes)
-            return None, (s, bars, value)
-        for w in new:
-            bars[w] = -classes[w].coboundary_witness()
-    full = Homotopy(build_cylinder(source), f, bars)
+    cylinder = build_cylinder(f.source)
+    bars = dict(bars)
+    stage, value = None, ObstructionValue(f.target, {})
+    for stage, names in stages:
+        value = ObstructionValue(f.target, _obstruction_classes(f, g, bars, names))
+        if not value.is_zero():
+            return Homotopy(cylinder, f, bars), stage, value
+        for w in names:
+            bars[w] = -value.classes[w].coboundary_witness()
+    full = Homotopy(cylinder, f, bars)
     if full.end().images != g.images:
         raise PreconditionViolated("internal inconsistency: stage-wise homotopy end mismatch")
-    return full, None
+    return full, stage, value
 
 
 def decide_nullhomotopic(f: Morphism, filtration: Filtration) -> NullhomotopyResult:
@@ -328,11 +346,11 @@ def decide_nullhomotopic(f: Morphism, filtration: Filtration) -> NullhomotopyRes
     if not f.verified:
         raise PreconditionViolated("decide_nullhomotopic needs a chain map")
     source = f.source
-    full, failure = _extend_by_stages(f, Morphism.zero_map(source, f.target), filtration)
-    if failure is None:
-        return NullhomotopyResult(True, homotopy=full)
-    stage, bars, value = failure
-    f_prime = Homotopy(build_cylinder(source), f, bars).end()
+    zero = Morphism.zero_map(source, f.target)
+    homotopy, stage, value = _extend_by_stages(f, zero, filtration.in_order(), {})
+    if value.is_zero():
+        return NullhomotopyResult(True, homotopy=homotopy)
+    f_prime = homotopy.end()
     for name in source.generator_names():
         if filtration.stages[name] < stage and not f_prime.images[name].is_zero():
             raise PreconditionViolated(
@@ -343,8 +361,6 @@ def decide_nullhomotopic(f: Morphism, filtration: Filtration) -> NullhomotopyRes
         # representative computed against the partial homotopy
         if f_prime.images[w] != c.representative:
             raise PreconditionViolated("internal inconsistency: pushed map is not the obstruction")
-    if value.is_zero():
-        raise PreconditionViolated("internal inconsistency: pushed obstruction vanished")
     return NullhomotopyResult(False, failure=NullhomotopyFailure(stage, f_prime, value))
 
 
@@ -435,9 +451,9 @@ def decide_homotopic(f: Morphism, g: Morphism) -> HomotopyDecision:
             detail="nonzero obstruction with both maps vanishing on V0",
         )
 
-    full, failure = _extend_by_stages(f, g, Filtration.by_degree(source).validate())
-    if failure is not None:
-        stage, _, value = failure
+    stages = Filtration.by_degree(source).validate().in_order()
+    full, stage, value = _extend_by_stages(f, g, stages, {})
+    if not value.is_zero():
         return HomotopyDecision(
             "undetermined",
             certificate={"kind": "stage-obstructed", "stage": stage, "obstruction": value},

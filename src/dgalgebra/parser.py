@@ -18,7 +18,10 @@ Expressions are rational-coefficient arithmetic over generator identifiers
 parenthesised sub-expression.  Rational literals are written ``p/q``.  ``#``
 starts a comment.  Parsing collects positioned diagnostics instead of
 raising; semantic conditions such as minimality live in
-``validate_presentation``, not here.
+``validate_presentation``, not here.  Contradictory input is a diagnostic,
+never a silent override: a second ``d`` line or image line for one
+generator, a repeated ``weight`` or ``stage`` option, and an unknown that
+is declared twice or named like a target generator.
 
 Each ``d`` line and morphism image line is parsed with its target degree
 as a bound, so hostile exponents such as ``(u+1)^3000`` cost work bounded
@@ -287,7 +290,7 @@ def parse_presentation(text: str) -> PresentationParse:
     diagnostics: List[Diagnostic] = []
     name = ""
     gen_specs: List[Tuple[Generator, int]] = []  # (generator, line)
-    d_lines: List[Tuple[str, List[Token], int, int]] = []
+    d_lines: Dict[str, Tuple[List[Token], int, int]] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(raw, line_no, diagnostics)
@@ -316,7 +319,14 @@ def parse_presentation(text: str) -> PresentationParse:
                     Diagnostic(line_no, head.column, "usage: d <generator> = <expression>")
                 )
                 continue
-            d_lines.append((tokens[1].text, tokens[3:], line_no, tokens[1].column))
+            gen = tokens[1]
+            if gen.text in d_lines:
+                first = d_lines[gen.text][1]
+                diagnostics.append(
+                    Diagnostic(line_no, gen.column, f"second differential for {gen.text} (first on line {first})")
+                )
+                continue
+            d_lines[gen.text] = (tokens[3:], line_no, gen.column)
         else:
             diagnostics.append(
                 Diagnostic(line_no, head.column, f"unknown directive {head.text!r}")
@@ -333,7 +343,7 @@ def parse_presentation(text: str) -> PresentationParse:
         return PresentationParse(None, diagnostics)
 
     algebra = AlgebraPresentation.unsealed([g for g, _ in gen_specs], label=name)
-    for gen_name, tokens, line_no, col in d_lines:
+    for gen_name, (tokens, line_no, col) in d_lines.items():
         if gen_name not in algebra._by_name:
             diagnostics.append(
                 Diagnostic(line_no, col, f"differential for unknown generator {gen_name!r}")
@@ -368,17 +378,16 @@ def _parse_generator_line(tokens, line_no, diagnostics) -> Optional[Generator]:
             Diagnostic(line_no, tokens[3].column, f"degree must be positive, got {degree}")
         )
         return None
-    weight = None
-    stage = None
+    options: Dict[str, int] = {}
     pos = 4
     while tokens[pos].kind != "end":
         key = tokens[pos]
         val = tokens[pos + 1] if pos + 1 < len(tokens) else None
         if key.kind == "ident" and key.text in ("weight", "stage") and val is not None and val.kind == "int":
-            if key.text == "weight":
-                weight = int(val.text)
-            else:
-                stage = int(val.text)
+            if key.text in options:
+                diagnostics.append(Diagnostic(line_no, key.column, f"option {key.text} given twice"))
+                return None
+            options[key.text] = int(val.text)
             pos += 2
         else:
             diagnostics.append(
@@ -386,7 +395,7 @@ def _parse_generator_line(tokens, line_no, diagnostics) -> Optional[Generator]:
             )
             return None
     try:
-        return Generator(name, degree, weight, stage)
+        return Generator(name, degree, options.get("weight"), options.get("stage"))
     except DgaError as exc:
         diagnostics.append(Diagnostic(line_no, tokens[1].column, str(exc)))
         return None
@@ -417,7 +426,7 @@ def parse_morphism(
     diagnostics: List[Diagnostic] = []
     name = src_name = tgt_name = ""
     unknowns: List[str] = []
-    image_lines: List[Tuple[str, List[Token], int, int]] = []
+    image_lines: Dict[str, Tuple[List[Token], int, int]] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(raw, line_no, diagnostics)
@@ -452,19 +461,32 @@ def parse_morphism(
                     Diagnostic(line_no, head.column, "usage: morphism <name> : <source> -> <target>")
                 )
         elif head.kind == "ident" and head.text == "unknown":
-            if len(tokens) < 3 or tokens[1].kind != "ident":
+            unknown = tokens[1]
+            if len(tokens) < 3 or unknown.kind != "ident":
                 diagnostics.append(Diagnostic(line_no, head.column, "usage: unknown <id>"))
+            elif unknown.text in unknowns:
+                diagnostics.append(Diagnostic(line_no, unknown.column, f"unknown {unknown.text} declared twice"))
+            elif unknown.text in target._by_name:
+                diagnostics.append(
+                    Diagnostic(line_no, unknown.column, f"unknown {unknown.text} is a generator of the target")
+                )
             else:
-                unknowns.append(tokens[1].text)
+                unknowns.append(unknown.text)
         elif head.kind == "ident" and len(tokens) >= 3 and tokens[1].text == "=":
-            image_lines.append((head.text, tokens[2:], line_no, head.column))
+            if head.text in image_lines:
+                first = image_lines[head.text][1]
+                diagnostics.append(
+                    Diagnostic(line_no, head.column, f"second image for {head.text} (first on line {first})")
+                )
+            else:
+                image_lines[head.text] = (tokens[2:], line_no, head.column)
         else:
             diagnostics.append(
                 Diagnostic(line_no, head.column, "expected 'morphism', 'unknown' or '<generator> = <expression>'")
             )
 
     symbolic_images: Dict[str, SymbolicElement] = {}
-    for gen_name, tokens, line_no, col in image_lines:
+    for gen_name, (tokens, line_no, col) in image_lines.items():
         if gen_name not in source._by_name:
             diagnostics.append(
                 Diagnostic(line_no, col, f"image for unknown source generator {gen_name!r}")

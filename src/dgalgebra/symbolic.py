@@ -23,6 +23,7 @@ from .algebra import (
     _derive_terms,
     _mul_terms,
     _power,
+    _signed_sum_text,
 )
 
 PowerProduct = Tuple[Tuple[str, int], ...]  # sorted by unknown name
@@ -172,20 +173,7 @@ class Poly:
         return hash(self.canonical())
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for pp, c in sorted(self.terms.items()):
-            body = "*".join(n if e == 1 else f"{n}^{e}" for n, e in pp)
-            if not body:
-                body = str(abs(c))
-            elif abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _signed_sum_text((c, pp) for pp, c in sorted(self.terms.items()))
 
     __repr__ = __str__
 

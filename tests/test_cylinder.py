@@ -9,9 +9,9 @@ from dgalgebra import (
     Homotopy,
     HomotopyEndpointMismatch,
     Morphism,
-    NotACofibration,
     build_cylinder,
-    extend_homotopy_cofibration,
+    extend_to_homotopy,
+    make_decomposition,
 )
 
 
@@ -95,56 +95,27 @@ def test_published_case_one_nullhomotopy(ex52):
 
 
 def test_end_map_commutes_with_restriction(ex52):
+    # alpha on the cylinder of a d-closed subalgebra agrees with alpha on
+    # the full cylinder, so zero bars off the subalgebra extend a homotopy
     g = ex52.namespace()
     f = Morphism.identity(ex52)
     bars = {"y1": 2 * g.x1 ** 4, "x1": ex52.zero()}
     h = Homotopy(build_cylinder(ex52), f, bars)
     sub = ex52.subalgebra(["x1", "x2", "y1"])
-    restricted_end = h.restrict(sub).end()
+    inclusion = Morphism(sub, ex52, {n: ex52.gen(n) for n in sub.generator_names()})
+    restricted_end = Homotopy(build_cylinder(sub), inclusion, bars).end()
     full_end = h.end()
     for name in sub.generator_names():
         assert restricted_end.images[name] == full_end.images[name]
 
 
-def test_extension_with_empty_addition(two_stage):
-    f = Morphism.identity(two_stage)
-    h = Homotopy(build_cylinder(two_stage), f, {})
-    extended = extend_homotopy_cofibration(f, h)
-    assert extended.bar_images == h.bar_images
-
-
-def test_extension_along_decomposition(ex52):
-    sub = ex52.subalgebra(["x1", "x2", "y1", "y2", "y3"])
-    f = Morphism.identity(ex52)
-    g = ex52.namespace()
-    h = Homotopy(build_cylinder(sub), f.restrict(sub), {"y1": 3 * g.x1 ** 4})
-    extended = extend_homotopy_cofibration(f, h)
-    assert extended.bar_images["z"].is_zero()
-    assert extended.bar_images["y1"] == h.bar_images["y1"]
-    # ends agree on the base
-    base_end = h.end()
-    full_end = extended.end()
-    for name in sub.generator_names():
-        assert full_end.images[name] == base_end.images[name]
-
-
 def test_extension_requires_start_agreement(two_stage):
-    sub = two_stage.subalgebra(["u"])
-    target = two_stage
     f = Morphism.identity(two_stage)
-    wrong_start = Morphism(sub, target, {"u": 2 * target.gen("u")})
-    h = Homotopy(build_cylinder(sub), wrong_start, {})
-    with pytest.raises(HomotopyEndpointMismatch):
-        extend_homotopy_cofibration(f, h)
-
-
-def test_extension_requires_d_closed_base(ex51):
-    # a base that is not d-closed inside the big algebra is rejected
-    other = AlgebraPresentation.build([("y1", 75)], label="loose")
-    f = Morphism.identity(ex51)
-    h = Homotopy(build_cylinder(other), Morphism(other, ex51, {"y1": ex51.gen("y1")}), {})
-    with pytest.raises(NotACofibration):
-        extend_homotopy_cofibration(f, h)
+    u, v = two_stage.gen("u"), two_stage.gen("v")
+    wrong_start = Morphism(two_stage, two_stage, {"u": 2 * u, "v": 4 * v})
+    h = Homotopy(build_cylinder(two_stage), wrong_start, {})
+    with pytest.raises(HomotopyEndpointMismatch, match="start at f"):
+        extend_to_homotopy(f, f, h, make_decomposition(two_stage, ["v"]))
 
 
 def test_gamma_nilpotence_exhaustive_small_cylinder(two_stage):

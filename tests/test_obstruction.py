@@ -80,9 +80,7 @@ def test_obstruction_with_vanishing_restrictions_is_difference(ex53):
     f_images["z"] = ex53.d(ex53.gen("y1") * ex53.gen("y2") * ex53.gen("x1") * ex53.gen("x2") ** 2)
     f = Morphism(ex53, ex53, f_images)
     g = Morphism(ex53, ex53, zero_images)
-    sub = decomposition.subalgebra()
-    h = Homotopy(build_cylinder(sub), Morphism.zero_map(sub, ex53), {})
-    value = compute_obstruction(f, g, h, decomposition)
+    value = compute_obstruction(f, g, Homotopy.constant(f), decomposition)
     assert value.classes["z"].representative == f_images["z"]
     assert value.is_zero()
 
@@ -91,9 +89,7 @@ def test_case_one_obstruction_vanishes(ex52):
     f = case_one_member(ex52)
     zero = Morphism.zero_map(ex52, ex52)
     decomposition = v0_split(ex52)
-    sub = decomposition.subalgebra()
-    h = Homotopy(build_cylinder(sub), Morphism.zero_map(sub, ex52), {})
-    value = compute_obstruction(f, zero, h, decomposition)
+    value = compute_obstruction(f, zero, Homotopy.constant(f), decomposition)
     assert value.classes["z"].representative == f.images["z"]
     assert value.is_zero()
 
@@ -101,9 +97,7 @@ def test_case_one_obstruction_vanishes(ex52):
 def test_constant_homotopy_gives_zero_obstruction(ex53):
     f = Morphism.identity(ex53)
     decomposition = v0_split(ex53)
-    sub = decomposition.subalgebra()
-    h = Homotopy(build_cylinder(sub), f.restrict(sub), {})
-    value = compute_obstruction(f, f, h, decomposition)
+    value = compute_obstruction(f, f, Homotopy.constant(f), decomposition)
     assert value.is_zero()
     assert value.classes["z"].representative.is_zero()
 
@@ -112,10 +106,8 @@ def test_obstruction_endpoint_precondition(ex51):
     f = Morphism.identity(ex51)
     zero = Morphism.zero_map(ex51, ex51)
     decomposition = v0_split(ex51)
-    sub = decomposition.subalgebra()
-    h = Homotopy(build_cylinder(sub), f.restrict(sub), {})
-    with pytest.raises(HomotopyEndpointMismatch):
-        compute_obstruction(f, zero, h, decomposition)
+    with pytest.raises(HomotopyEndpointMismatch, match="end at g"):
+        compute_obstruction(f, zero, Homotopy.constant(f), decomposition)
 
 
 def test_obstruction_additivity(ex53):
@@ -131,8 +123,7 @@ def test_obstruction_additivity(ex53):
     f1 = Morphism(ex53, ex53, f1_images)
     f2 = Morphism(ex53, ex53, f2_images)
     zero = Morphism(ex53, ex53, zero_images)
-    sub = decomposition.subalgebra()
-    h = Homotopy(build_cylinder(sub), Morphism.zero_map(sub, ex53), {})
+    h = Homotopy.constant(zero)  # starts at each of f1, f2 and zero on V0
     pair = compute_obstruction(f1, f2, h, decomposition)
     against_zero_1 = compute_obstruction(f1, zero, h, decomposition)
     against_zero_2 = compute_obstruction(f2, zero, h, decomposition)
@@ -152,9 +143,7 @@ def test_case_one_extension_roundtrip(ex52):
     f = case_one_member(ex52)
     zero = Morphism.zero_map(ex52, ex52)
     decomposition = v0_split(ex52)
-    sub = decomposition.subalgebra()
-    h = Homotopy(build_cylinder(sub), Morphism.zero_map(sub, ex52), {})
-    k = extend_to_homotopy(f, zero, h, decomposition)
+    k = extend_to_homotopy(f, zero, Homotopy.constant(f), decomposition)
     assert k.start == f
     end = k.end()
     for name in ex52.generator_names():
@@ -166,9 +155,7 @@ def test_case_one_extension_roundtrip(ex52):
 def test_extension_constant(ex53):
     f = Morphism.identity(ex53)
     decomposition = v0_split(ex53)
-    sub = decomposition.subalgebra()
-    h = Homotopy(build_cylinder(sub), f.restrict(sub), {})
-    k = extend_to_homotopy(f, f, h, decomposition)
+    k = extend_to_homotopy(f, f, Homotopy.constant(f), decomposition)
     assert all(x.is_zero() for x in k.bar_images.values())
 
 
@@ -178,10 +165,8 @@ def test_extension_obstructed_small():
     decomposition = make_decomposition(source, ["w"])
     f = Morphism(source, target, {"w": target.gen("x")})
     g = Morphism.zero_map(source, target)
-    empty = source.subalgebra([])
-    h = Homotopy(build_cylinder(empty), Morphism.zero_map(empty, target), {})
     with pytest.raises(Obstructed) as err:
-        extend_to_homotopy(f, g, h, decomposition)
+        extend_to_homotopy(f, g, Homotopy.constant(f), decomposition)
     assert err.value.value.nonzero_generators() == ["w"]
 
 
@@ -245,11 +230,10 @@ def homotopy_choice_instance():
 def test_nonzero_obstruction_for_homotopic_maps():
     source, target, f = homotopy_choice_instance()
     decomposition = make_decomposition(source, ["w"])
-    sub = decomposition.subalgebra()
     mu = Fraction(1)
-    h = Homotopy(build_cylinder(sub), f.restrict(sub), {"a": mu * target.gen("s")})
+    h = Homotopy(build_cylinder(source), f, {"a": mu * target.gen("s")})
     # h really is a homotopy from f|V0 to f|V0: d(s) = 0
-    assert h.end() == f.restrict(sub)
+    assert h.end_image("a") == f.images["a"]
     value = compute_obstruction(f, f, h, decomposition)
     expected = 2 * mu * target.gen("s") * target.gen("b")
     assert value.classes["w"].representative == expected
@@ -264,7 +248,6 @@ def test_zero_restriction_obstruction_is_homotopy_independent(ex52):
     # random cocycle bar images on V0 leave the classes untouched when both
     # maps vanish there
     decomposition = v0_split(ex52)
-    sub = decomposition.subalgebra()
     f = case_one_member(ex52)
     zero = Morphism.zero_map(ex52, ex52)
     g = ex52.namespace()
@@ -273,9 +256,9 @@ def test_zero_restriction_obstruction_is_homotopy_independent(ex52):
         "y1": Fraction(5, 3) * g.x1 ** 4,
         "y3": -2 * g.x1 ** 2 * g.x2 ** 2,
     }
-    h0 = Homotopy(build_cylinder(sub), Morphism.zero_map(sub, ex52), {})
-    h1 = Homotopy(build_cylinder(sub), Morphism.zero_map(sub, ex52), bars)
-    assert h1.end() == Morphism.zero_map(sub, ex52)
+    h0 = Homotopy.constant(f)
+    h1 = Homotopy(build_cylinder(ex52), f, bars)
+    assert all(h1.end_image(n).is_zero() for n in decomposition.v0_ordered())
     v0 = compute_obstruction(f, zero, h0, decomposition)
     v1 = compute_obstruction(f, zero, h1, decomposition)
     assert v0.classes["z"].representative == v1.classes["z"].representative
@@ -446,8 +429,10 @@ def test_pipeline_complete_no_with_vanishing_core():
 # -- one cylinder per source ----------------------------------------------------------
 
 
-def test_stage_search_yes_builds_no_subalgebra():
+def test_stage_search_yes_builds_no_subalgebra(monkeypatch):
+    # every obstruction entry point works on the source's one cylinder
     from conftest import load
+    from dgalgebra import cli
 
     fresh = load("ex52.dga")
     assert decide_nullhomotopic(case_one_member(fresh), Filtration.by_degree(fresh)).nullhomotopic
@@ -459,6 +444,74 @@ def test_stage_search_yes_builds_no_subalgebra():
     decision = decide_homotopic(Morphism(fresh, fresh, images), Morphism.identity(fresh))
     assert decision.yes and decision.detail == "stage-wise witness search"
     assert fresh._sub_cache == {}
+
+    f, zero, split = case_one_member(fresh), Morphism.zero_map(fresh, fresh), v0_split(fresh)
+    assert compute_obstruction(f, zero, Homotopy.constant(f), split).is_zero()
+    assert extend_to_homotopy(f, zero, Homotopy.constant(f), split).end() == zero
+    assert decide_homotopic_zero_restriction(f, zero, split).homotopic
+    assert fresh._sub_cache == {}
+
+    ex51 = load("ex51.dga")
+    assert not decide_nullhomotopic(Morphism.identity(ex51), Filtration.by_degree(ex51)).nullhomotopic
+    assert ex51._sub_cache == {}
+
+    loaded = []
+    load_valid = cli._load_valid_presentation
+    monkeypatch.setattr(cli, "_load_valid_presentation", lambda path: loaded.append(load_valid(path)) or loaded[-1])
+    v0 = "x1,x2,y1,y2,y3"
+    assert cli.main(["obstruction", "ex53.dga", "ex53.dga", "ex53_id.map", "ex53_id.map", "--v0", v0]) == 0
+    assert len(loaded) == 2 and all(a._sub_cache == {} for a in loaded)
+
+
+def test_obstruction_checks_the_end_on_v0_only(ex53, monkeypatch):
+    # the end map at z would evaluate H(alpha(z)), which the class at z
+    # computes anyway
+    f = Morphism.identity(ex53)
+    decomposition = v0_split(ex53)
+    asked = []
+    end_image = Homotopy.end_image
+    monkeypatch.setattr(Homotopy, "end_image", lambda h, name: asked.append(name) or end_image(h, name))
+    monkeypatch.setattr(Homotopy, "end", lambda h: pytest.fail("end() evaluates every generator"))
+    assert compute_obstruction(f, f, Homotopy.constant(f), decomposition).is_zero()
+    assert asked == decomposition.v0_ordered()
+
+
+def test_obstruction_reads_only_the_v0_bars(ex53, monkeypatch):
+    # a bar for every generator would let a correction through that uses a
+    # copy of a V1 generator
+    from dgalgebra import obstruction
+
+    seen = []
+    classes = obstruction._obstruction_classes
+    monkeypatch.setattr(
+        obstruction,
+        "_obstruction_classes",
+        lambda f, g, bars, names: seen.append(sorted(bars)) or classes(f, g, bars, names),
+    )
+    f = Morphism.identity(ex53)
+    decomposition = v0_split(ex53)
+    compute_obstruction(f, f, Homotopy.constant(f), decomposition)
+    extend_to_homotopy(f, f, Homotopy.constant(f), decomposition)
+    assert seen == [sorted(decomposition.v0)] * 2
+
+
+def test_obstruction_rejects_a_nonzero_bar_on_v1(ex52):
+    f = case_one_member(ex52)
+    zero = Morphism.zero_map(ex52, ex52)
+    full = decide_nullhomotopic(f, Filtration.by_degree(ex52)).homotopy
+    assert not full.bar_images["z"].is_zero()
+    for entry in (compute_obstruction, extend_to_homotopy):
+        with pytest.raises(PreconditionViolated, match="nonzero bar on V1"):
+            entry(f, zero, full, v0_split(ex52))
+
+
+def test_obstruction_rejects_a_homotopy_on_another_cylinder(ex52):
+    f = case_one_member(ex52)
+    decomposition = v0_split(ex52)
+    sub = ex52.subalgebra(decomposition.v0)
+    on_sub = Homotopy(build_cylinder(sub), Morphism.zero_map(sub, ex52), {})
+    with pytest.raises(HomotopyEndpointMismatch, match="decomposed algebra"):
+        compute_obstruction(f, Morphism.zero_map(ex52, ex52), on_sub, decomposition)
 
 
 def test_pushed_map_that_does_not_vanish_below_the_stage_is_caught(monkeypatch):
@@ -501,7 +554,7 @@ def misgraded_presentation():
         lambda f: compute_obstruction(
             f,
             f,
-            Homotopy.constant(f).restrict(f.source.subalgebra(["u"])),
+            Homotopy.constant(f),
             make_decomposition(f.source, ["v"]),
         ),
     ],

@@ -727,3 +727,32 @@ def test_cli_builds_its_parser_once(monkeypatch):
     for _ in range(3):
         assert run_cli("check", "ex51.dga")[0] == 0
     assert built == []
+
+
+TWO_STAGE = "algebra two_stage\ngenerator u : 2\ngenerator v : 3\n"
+MAP_HEAD = "morphism f : two_stage -> two_stage\n"
+
+
+@pytest.mark.parametrize(
+    "kind, text, line, column, message",
+    [
+        ("dga", TWO_STAGE + "d v = u^2\nd v = 0\n", 5, 3, "second differential for v (first on line 4)"),
+        ("dga", "generator u : 2 weight 1 weight 3\n", 1, 26, "option weight given twice"),
+        ("map", MAP_HEAD + "u = u\nu = 2*u\nv = 4*v\n", 3, 1, "second image for u (first on line 2)"),
+        ("map", MAP_HEAD + "unknown u\nu = u\nv = v\n", 2, 9, "unknown u is a generator of the target"),
+        ("map", MAP_HEAD + "unknown t\nunknown t\nu = t*u\nv = t^2*v\n", 3, 9, "unknown t declared twice"),
+    ],
+    ids=["second-d-line", "repeated-option", "second-image", "unknown-is-a-generator", "unknown-twice"],
+)
+def test_contradictory_input_is_a_positioned_diagnostic(tmp_path, kind, text, line, column, message):
+    path = tmp_path / f"input.{kind}"
+    path.write_text(text)
+    if kind == "dga":
+        result = parse_presentation(text)
+        argv = ["check", str(path)]
+    else:
+        two_stage = parse_presentation(TWO_STAGE + "d v = u^2\n").presentation
+        result = parse_morphism(text, two_stage, two_stage)
+        argv = ["nullhomotopic", "two_stage.dga", "two_stage.dga", str(path)]
+    assert [(d.line, d.column, d.message) for d in result.diagnostics] == [(line, column, message)]
+    assert run_cli(*argv) == (2, "", f"{path}:{line}:{column}: {message}\n")

@@ -36,6 +36,7 @@ from dgalgebra.cohomology import (
 from dgalgebra.errors import NotACocycle, Obstructed, UnsupportedShape
 from dgalgebra.linalg import rref_solve
 from dgalgebra.obstruction import Filtration
+from dgalgebra.parser import parse_morphism, parse_presentation, print_morphism, print_presentation
 from conftest import load
 from oracles import (
     basis_by_search,
@@ -373,21 +374,18 @@ def test_obstruction_independent_of_homotopy_when_maps_vanish(source, target, dr
     f = Morphism(source, target, images_f)
     g = Morphism(source, target, images_g)
     assert f.verified and g.verified
-    sub = decomposition.subalgebra()
-    zero_sub = Morphism.zero_map(sub, target)
-    plain = Homotopy(build_cylinder(sub), zero_sub, {})
-    bars = {
-        v: random_cocycle(draw, target, sub.degree_of(v) - 1)
-        for v in sub.generator_names()
-    }
-    fancy = Homotopy(build_cylinder(sub), zero_sub, bars)
-    assume(fancy.end() == zero_sub)  # cocycle bars keep it a self-homotopy of 0
+    zero_full = Morphism.zero_map(source, target)
+    plain = Homotopy.constant(zero_full)  # f and g vanish on V0, like zero
+    v0 = decomposition.v0_ordered()
+    bars = {v: random_cocycle(draw, target, source.degree_of(v) - 1) for v in v0}
+    fancy = Homotopy(build_cylinder(source), zero_full, bars)
+    # cocycle bars keep it a self-homotopy of 0 on V0
+    assume(all(fancy.end_image(v).is_zero() for v in v0))
     base = compute_obstruction(f, g, plain, decomposition)
     other = compute_obstruction(f, g, fancy, decomposition)
     for w in decomposition.v1_ordered():
         assert base.classes[w].equals(other.classes[w])
     # additivity against the zero map, class by class
-    zero_full = Morphism.zero_map(source, target)
     f0 = compute_obstruction(f, zero_full, plain, decomposition)
     g0 = compute_obstruction(g, zero_full, plain, decomposition)
     for w in decomposition.v1_ordered():
@@ -414,9 +412,7 @@ def test_extension_roundtrip(source, target, draw):
             adjust = target.element({m: c for m, c in zip(basis, coeffs) if c})
             images_g[w] = images_g[w] + target.d(adjust)
     g = Morphism(source, target, images_g)
-    sub = decomposition.subalgebra()
-    h = Homotopy(build_cylinder(sub), Morphism.zero_map(sub, target), {})
-    k = extend_to_homotopy(f, g, h, decomposition)
+    k = extend_to_homotopy(f, g, Homotopy.constant(f), decomposition)
     end = k.end()
     for name in source.generator_names():
         assert end.images[name] == g.images[name]
@@ -487,11 +483,8 @@ def test_reflexivity_and_extension_obstructed_consistency(algebra, draw):
         decomposition = valid_split(draw, algebra)
     except Exception:
         return
-    sub = decomposition.subalgebra()
     try:
-        k = extend_to_homotopy(
-            f, f, Homotopy(build_cylinder(sub), f.restrict(sub), {}), decomposition
-        )
+        k = extend_to_homotopy(f, f, h, decomposition)
         assert k.end() == f
     except Obstructed:
         raise AssertionError("constant homotopy must always extend")
@@ -691,3 +684,24 @@ def test_a_kernel_with_one_sign_flipped_fails_the_oracles(monkeypatch, ex51):
     monkeypatch.setattr(algebra_module, "_sign_flips", lambda left, right: flips(left, right) + bool(left and right))
     assert _named(g.y2 * g.y1) != product_by_transpositions(g.y2, g.y1)
     assert normalize_monomial(ex51, raw)[0] != normalize_by_transpositions(ex51, raw)[0]
+
+
+@given(st.one_of(minimal_algebras(), weighted_two_stage_algebras()))
+@settings(max_examples=60)
+def test_printed_presentation_parses_back(algebra):
+    text = print_presentation(algebra)
+    parsed = parse_presentation(text)
+    assert parsed.ok, parsed.diagnostics
+    assert parsed.presentation == algebra
+    assert print_presentation(parsed.presentation) == text
+
+
+@given(minimal_algebras(max_gens=3, max_degree=6), minimal_algebras(max_gens=3, max_degree=6), st.data())
+@settings(max_examples=60)
+def test_printed_morphism_parses_back(source, target, draw):
+    f = random_chain_map(draw, source, target)
+    text = print_morphism(f)
+    parsed = parse_morphism(text, source, target)
+    assert parsed.ok, parsed.diagnostics
+    assert parsed.morphism == f
+    assert print_morphism(parsed.morphism) == text

@@ -143,3 +143,26 @@ def test_every_public_name_is_referenced():
     unused = [f"{path}:{name}" for path, name in defined if name not in uses]
     assert defined
     assert unused == []
+
+
+
+def test_one_cylinder_per_source_and_no_subalgebras():
+    """Homotopies on a set of generators live on the source's one cylinder:
+    outside ``algebra.py`` no module calls ``.subalgebra(``, and
+    ``CylinderAlgebra(...)`` is constructed only in ``build_cylinder``,
+    which keeps one per presentation."""
+    subalgebras, cylinders, in_build = [], [], []
+    for where, node in _nodes():
+        if isinstance(node, ast.FunctionDef) and node.name == "build_cylinder":
+            in_build.extend(ast.walk(node))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "subalgebra" and not where.startswith("algebra.py:"):
+                subalgebras.append(where)
+        if isinstance(node, ast.Call) and "CylinderAlgebra" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            cylinders.append((where, node))
+    assert subalgebras == []
+    assert cylinders
+    assert [where for where, node in cylinders if node not in set(in_build)] == []
