@@ -2,7 +2,9 @@
 
 Conventions fixed by this module and relied on everywhere else:
 
-* Coefficients are exact ``fractions.Fraction`` values.  No floats.
+* Coefficients are exact: ``int`` where integral and ``fractions.Fraction``
+  only where a denominator exists (arithmetic may leave an integral
+  ``Fraction``).  Coefficients from outside pass ``_as_rational``; no floats.
 * Generators are totally ordered by ``(degree, name)``.  A monomial is a
   tuple of exponents over its presentation's generators in that order, so
   two equal elements always have identical term dictionaries (canonical
@@ -26,7 +28,7 @@ product adds vectors, and a derivation puts the vector of each term of
 the entry point for raw ``(name, exponent)`` lists.  The kernel uses only
 ``+``, ``*`` (also by an ``int``), unary ``-`` and truthiness of the
 coefficients, so ``Element``, ``Morphism`` and the cylinder's ``alpha``
-(``Fraction`` coefficients) share it with ``symbolic.SymbolicElement`` and
+(rational coefficients) share it with ``symbolic.SymbolicElement`` and
 the generic ansatz (``symbolic.Poly`` coefficients); ``Poly`` reuses its
 sum and power.
 
@@ -162,11 +164,15 @@ def _signed_sum_text(terms) -> str:
     return " ".join(parts) or "0"
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _as_rational(c):
+    """``c`` as a coefficient: an ``int`` when integral, else a ``Fraction``;
+    anything else, a float included, raises ``TypeError``."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"expected an exact rational, got {type(c).__name__}")
 
 
@@ -325,24 +331,24 @@ class AlgebraPresentation:
         return Element(self, {})
 
     def one(self) -> "Element":
-        return Element(self, {self._unit: Fraction(1)})
+        return Element(self, {self._unit: 1})
 
     def scalar(self, c) -> "Element":
-        c = _as_fraction(c)
+        c = _as_rational(c)
         return Element(self, {self._unit: c} if c else {})
 
     def gen(self, name: str) -> "Element":
         g = self.generator(name)
         i = self._order[name]
         exponents = (0,) * i + (1,) + (0,) * (len(self.generators) - i - 1)
-        return Element(self, {Monomial(exponents, g.degree, g.is_odd << i, self.generators): Fraction(1)})
+        return Element(self, {Monomial(exponents, g.degree, g.is_odd << i, self.generators): 1})
 
-    def element(self, terms: Mapping[Monomial, Fraction]) -> "Element":
+    def element(self, terms: Mapping[Monomial, object]) -> "Element":
         """The element with the given terms; a monomial of another
         presentation is matched to this one's generators by name."""
         clean = {}
         for m, c in terms.items():
-            c = _as_fraction(c)
+            c = _as_rational(c)
             if c:
                 clean[m if m.generators is self.generators else _reindex(m, self)] = c
         return Element(self, clean)
@@ -484,7 +490,7 @@ class Element:
 
     def __init__(self, algebra: AlgebraPresentation, terms: dict):
         self.algebra = algebra
-        self.terms = terms  # Monomial -> nonzero Fraction; never mutated
+        self.terms = terms  # Monomial -> nonzero int or Fraction; never mutated
 
     # -- queries -----------------------------------------------------------
 
@@ -545,7 +551,7 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
-            c = _as_fraction(other)
+            c = _as_rational(other)
             if not c:
                 return self.algebra.zero()
             return Element(self.algebra, {m: co * c for m, co in self.terms.items()})
@@ -561,10 +567,10 @@ class Element:
 
     def __truediv__(self, other):
         if isinstance(other, Scalar):
-            c = _as_fraction(other)
+            c = _as_rational(other)
             if not c:
                 raise ZeroDivisionError("division of an element by zero")
-            return self * (Fraction(1) / c)
+            return self * Fraction(1, c)
         return NotImplemented
 
     def __pow__(self, k: int):
@@ -917,7 +923,7 @@ class Morphism:
     def apply(self, x: Element) -> Element:
         if x.algebra is not self.source and x.algebra != self.source:
             raise PresentationMismatch("element is not in the source")
-        terms = _extend_terms(self.target, lambda n: self.images[n].terms, x.terms, Fraction(1))
+        terms = _extend_terms(self.target, lambda n: self.images[n].terms, x.terms, 1)
         return Element(self.target, terms)
 
     __call__ = apply

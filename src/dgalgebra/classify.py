@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraPresentation, Element, Monomial, Morphism, _extend_terms, compose
+from .algebra import AlgebraPresentation, Element, Monomial, Morphism, _as_rational, _extend_terms, compose
 from .algebra import require_graded
 from .cohomology import induced_map_is_isomorphism, is_coboundary
 from .errors import (
@@ -116,7 +116,7 @@ def _normalize_poly(p: Poly) -> Poly:
     lead = min(scaled)
     sign = 1 if scaled[lead] > 0 else -1
     out = Poly()
-    out.terms = {pp: Fraction(sign * c.numerator // num_gcd) for pp, c in scaled.items()}
+    out.terms = {pp: sign * c.numerator // num_gcd for pp, c in scaled.items()}
     return out
 
 
@@ -150,7 +150,7 @@ class AffineExpr:
     def evaluate(self, params: Dict[str, Fraction]) -> Fraction:
         out = self.constant
         for name, c in self.coefficients.items():
-            out += c * Fraction(params.get(name, 0))
+            out += c * params.get(name, 0)
         return out
 
     def __str__(self):
@@ -173,7 +173,7 @@ class SolutionFamily:
     )
 
     def assignment(self, params: Optional[Dict[str, Fraction]] = None) -> Dict[str, Fraction]:
-        params = {k: Fraction(v) for k, v in (params or {}).items()}
+        params = {k: _as_rational(v) for k, v in (params or {}).items()}
         unknown = sorted(set(params) - set(self.free))
         if unknown:
             raise PreconditionViolated(
@@ -181,7 +181,7 @@ class SolutionFamily:
             )
         values = dict(self.fixed)
         for p in self.free:
-            values[p] = params.get(p, Fraction(0))
+            values[p] = params.get(p, 0)
         for name, expr in self.dependent.items():
             values[name] = expr.evaluate(params)
         return values
@@ -236,7 +236,7 @@ def _case_split(
         )
         if undecided:
             v = undecided[0]
-            recurse(simplified, {**fixed, v: Fraction(0)}, nonzero, v)
+            recurse(simplified, {**fixed, v: 0}, nonzero, v)
             recurse(simplified, fixed, nonzero | {v}, None)
             return
 
@@ -262,7 +262,7 @@ def _case_split(
                 e1 = next((e for n, e in pp1 if n == v), 0)
                 e2 = next((e for n, e in pp2 if n == v), 0)
                 exps.append(e1 - e2)
-            mult_rows.append((exps, -c2 / c1))
+            mult_rows.append((exps, Fraction(-c2, c1)))
         system = MultiplicativeSystem.make(live, mult_rows)
         try:
             solutions = solve_multiplicative_system(system)
@@ -304,7 +304,7 @@ def eliminate_defined_unknowns(system: ConstraintSystem):
                 if len(pp_a) == 1 and pp_a[0][1] == 1:
                     u = pp_a[0][0]
                     if all(n != u for n, _ in pp_b):
-                        replacement = Poly({pp_b: -c_b / c_a})
+                        replacement = Poly({pp_b: Fraction(-c_b, c_a)})
                         records.append((u, replacement))
                         new_work = []
                         for k, q in enumerate(work):
@@ -476,7 +476,7 @@ def _family_collapses(family: SolutionFamily) -> Tuple[str, Optional[dict]]:
     for p in family.free:
         for w in param_gens:
             direction = images[w].evaluate(
-                {q: Fraction(1) if q == p else Fraction(0) for q in family.free}
+                {q: 1 if q == p else 0 for q in family.free}
             ) - rep.images[w]
             if direction.is_zero():
                 continue

@@ -90,7 +90,7 @@ def cohomology_at_degree(algebra: AlgebraPresentation, n: int) -> DegreeCohomolo
             matrix = RationalMatrix(len(reduced), len(basis))
             matrix.entries = {(i, j): v for i, red in enumerate(reduced) for j, v in red.items()}
             rep_rows = _echelon(matrix)
-    reps = [Element(algebra, {basis[j]: row[j] for j in sorted(row)}) for row in rep_rows[0]]
+    reps = [algebra.element({basis[j]: row[j] for j in sorted(row)}) for row in rep_rows[0]]
     result = DegreeCohomology(algebra, n, len(reps), reps, boundaries, rep_rows)
     algebra._cohomology_cache[n] = result
     return result

@@ -22,6 +22,10 @@ Termination of the alpha series: each application of gamma either converts
 a plain factor v into hat v or into a term of i(d v) whose plain part has
 total degree at most |v| - 1, so the total degree of plain factors strictly
 drops and the series is finite on every monomial.
+
+On a generator the series keeps ``gamma**n(v)`` undivided (``int``
+coefficients on an integral presentation) and adds each of its terms with
+one division by ``n!``, so the products of the series stay integral.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .algebra import (
     Element,
     Generator,
     Morphism,
+    _add_term,
     _extend_terms,
     extend_derivation,
     transfer_element,
@@ -96,25 +101,26 @@ class CylinderAlgebra:
         if x.algebra is not self.total:
             raise PresentationMismatch("element is not in this cylinder")
         alpha = self._alpha_generator
-        terms = _extend_terms(self.total, lambda n: alpha(n).terms, x.terms, Fraction(1))
+        terms = _extend_terms(self.total, lambda n: alpha(n).terms, x.terms, 1)
         return Element(self.total, terms)
 
     def _alpha_generator(self, name: str) -> Element:
         cached = self._alpha_gen.get(name)
         if cached is not None:
             return cached
-        x = self.total.gen(name)
-        acc = x
-        term = x
-        n = 1
+        term = self.total.gen(name)
+        acc = dict(term.terms)
+        n = factorial = 1
         while True:
-            term = self.gamma(term) / n
+            term = self.gamma(term)  # gamma**n(v), undivided
             if term.is_zero():
                 break
-            acc = acc + term
+            factorial *= n
+            for m, c in term.terms.items():
+                _add_term(acc, m, Fraction(c, factorial))
             n += 1
-        self._alpha_gen[name] = acc
-        return acc
+        self._alpha_gen[name] = out = self.total.element(acc)
+        return out
 
     def correction(self, name: str) -> Element:
         """alpha(v) - v - hat(v) for a base generator; decomposable, and only

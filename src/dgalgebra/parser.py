@@ -204,7 +204,7 @@ class _ExprParser:
     def atom(self) -> SymbolicElement:
         t = self.take()
         if t.kind == "int":
-            value = Fraction(int(t.text))
+            value = int(t.text)
             nxt = self.peek()
             if nxt.kind == "symbol" and nxt.text == "/":
                 self.take()
@@ -212,7 +212,7 @@ class _ExprParser:
                 if den.kind != "int" or int(den.text) == 0:
                     self.error(den, "denominator must be a nonzero integer")
                     return SymbolicElement.zero(self.algebra)
-                value = Fraction(int(t.text), int(den.text))
+                value = Fraction(value, int(den.text))
             return SymbolicElement.from_element(self.algebra.scalar(value))
         if t.kind == "ident":
             if t.text in self.algebra._by_name:
@@ -303,6 +303,8 @@ def parse_presentation(text: str) -> PresentationParse:
         if head.text == "algebra":
             if len(tokens) < 3 or tokens[1].kind != "ident":
                 diagnostics.append(Diagnostic(line_no, head.column, "usage: algebra <name>"))
+            elif tokens[2].kind != "end":
+                diagnostics.append(_trailing(tokens[2], line_no, "algebra <name>"))
             else:
                 name = tokens[1].text
         elif head.text == "generator":
@@ -357,6 +359,11 @@ def parse_presentation(text: str) -> PresentationParse:
     if diagnostics:
         return PresentationParse(None, diagnostics)
     return PresentationParse(algebra.seal(), diagnostics)
+
+
+def _trailing(token: Token, line_no: int, usage: str) -> Diagnostic:
+    """The diagnostic for a token after the last field of a header line."""
+    return Diagnostic(line_no, token.column, f"unexpected token {token.text!r}; usage: {usage}")
 
 
 def _parse_generator_line(tokens, line_no, diagnostics) -> Optional[Generator]:
@@ -445,6 +452,8 @@ def parse_morphism(
                 and texts[4] == "->"
                 and shape[5] == "ident"
             ):
+                if tokens[6].kind != "end":
+                    diagnostics.append(_trailing(tokens[6], line_no, "morphism <name> : <source> -> <target>"))
                 name, src_name, tgt_name = texts[1], texts[3], texts[5]
                 if source.label and src_name != source.label:
                     diagnostics.append(
@@ -464,6 +473,8 @@ def parse_morphism(
             unknown = tokens[1]
             if len(tokens) < 3 or unknown.kind != "ident":
                 diagnostics.append(Diagnostic(line_no, head.column, "usage: unknown <id>"))
+            elif tokens[2].kind != "end":
+                diagnostics.append(_trailing(tokens[2], line_no, "unknown <id>"))
             elif unknown.text in unknowns:
                 diagnostics.append(Diagnostic(line_no, unknown.column, f"unknown {unknown.text} declared twice"))
             elif unknown.text in target._by_name:

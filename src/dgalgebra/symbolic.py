@@ -19,6 +19,7 @@ from .algebra import (
     Monomial,
     _add_term,
     _add_terms,
+    _as_rational,
     _by_index,
     _derive_terms,
     _mul_terms,
@@ -47,18 +48,18 @@ class Poly:
         self.terms: Dict[PowerProduct, Fraction] = {}
         if terms:
             for pp, c in terms.items():
-                c = Fraction(c)
+                c = _as_rational(c)
                 if c:
                     self.terms[pp] = c
 
     @classmethod
     def constant(cls, c) -> "Poly":
-        c = Fraction(c)
+        c = _as_rational(c)
         return cls({(): c} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -72,7 +73,7 @@ class Poly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def variables(self) -> set:
         return {n for pp in self.terms for n, _ in pp}
@@ -87,7 +88,7 @@ class Poly:
         """(constant, {var: coefficient}); raises on nonlinear input."""
         if not self.is_linear():
             raise ValueError("polynomial is not linear")
-        const = Fraction(0)
+        const = 0
         coeffs: Dict[str, Fraction] = {}
         for pp, c in self.terms.items():
             if pp == ():
@@ -112,8 +113,8 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, Poly):
+            c = _as_rational(other)
             if not c:
                 return Poly()
             p = Poly()
@@ -140,7 +141,7 @@ class Poly:
             for n, e in pp:
                 rep = values.get(n)
                 if rep is None:
-                    term = term * Poly({((n, 1),): Fraction(1)}) ** e
+                    term = term * Poly.variable(n) ** e
                 else:
                     if not isinstance(rep, Poly):
                         rep = Poly.constant(rep)
@@ -149,11 +150,11 @@ class Poly:
         return out
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
-        out = Fraction(0)
+        out = 0
         for pp, c in self.terms.items():
             acc = c
             for n, e in pp:
-                acc *= Fraction(values[n]) ** e
+                acc *= _as_rational(values[n]) ** e
             out += acc
         return out
 
@@ -210,7 +211,7 @@ class SymbolicElement:
         return self + (-other)
 
     def __mul__(self, other) -> "SymbolicElement":
-        if isinstance(other, (int, Fraction, Poly)):
+        if not isinstance(other, (SymbolicElement, Element)):
             return SymbolicElement(self.algebra, {m: p * other for m, p in self.terms.items()})
         return SymbolicElement(self.algebra, _mul_terms(self.algebra, self.terms, other.terms))
 

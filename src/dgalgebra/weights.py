@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraPresentation, Element, Morphism, compose
+from .algebra import AlgebraPresentation, Element, Morphism, _as_rational, compose
 from .cohomology import is_coboundary
 from .errors import PreconditionViolated, WeightsMissing, ZeroLambda
 from .linalg import RationalMatrix, rref_solve
@@ -106,7 +106,7 @@ def phi_lambda(assignment: WeightAssignment, lam) -> Morphism:
     Inverse under phi_lambda(1/lambda); always a chain map on a validated
     assignment.
     """
-    lam = Fraction(lam)
+    lam = _as_rational(lam)
     if lam == 0:
         raise ZeroLambda("the scaling parameter must be nonzero")
     report = validate_weights(assignment)
@@ -269,7 +269,7 @@ def verify_infinite_family(f: Morphism, side: str, lam, count: int) -> InfiniteF
     """
     if count < 1:
         raise PreconditionViolated(f"count must be at least 1, not {count}")
-    lam = Fraction(lam)
+    lam = _as_rational(lam)
     if lam in (0, 1, -1):
         raise PreconditionViolated("lambda must avoid 0, 1 and -1")
     if side not in ("target", "source"):
@@ -325,14 +325,14 @@ def _certify_pair(assignment, side, f_prime, witnesses, lam, i, j) -> FamilyPair
                 rep = base * factor
                 distinct = factor != 0 and is_coboundary(f_prime.target, rep) is None
                 return FamilyPair(i, j, w, wt, factor, distinct)
-    return FamilyPair(i, j, "", 0, Fraction(0), False)
+    return FamilyPair(i, j, "", 0, 0, False)
 
 
 def scaled_composite(
     f: Morphism, side: str, assignment: WeightAssignment, lam, power: int
 ) -> Morphism:
     """The composite of f with the power-th iterate of the scaling map."""
-    phi = phi_lambda(assignment, Fraction(lam))
+    phi = phi_lambda(assignment, lam)
     out = f
     for _ in range(power):
         out = compose(phi, out) if side == "target" else compose(out, phi)

@@ -170,6 +170,20 @@ def nullhomotopy_by_bar_search(f, filtration, offsets=None):
     return True, bars
 
 
+def alpha_by_series(cylinder, name):
+    """alpha(v) = sum gamma**n(v) / n! for the cylinder generator ``name``, by
+    the recurrence ``term_n = gamma(term_(n-1)) / n`` over ``Element``
+    division, summed until a term vanishes."""
+    acc = term = cylinder.total.gen(name)
+    n = 1
+    while True:
+        term = cylinder.gamma(term) / n
+        if term.is_zero():
+            return acc
+        acc = acc + term
+        n += 1
+
+
 # -- the dense elimination the library used before sparse rows ------------------
 #
 # Reduced row echelon form is unique, so the library's sparse elimination must

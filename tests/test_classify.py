@@ -148,7 +148,7 @@ def test_constraint_reduction_to_exponent_rows(ex51, ex52):
                 if len(pp_u) == 1 and pp_u[0][1] == 1 and pp_u[0][0] not in (a1, a2):
                     u = pp_u[0][0]
                     if u not in subs and all(n in (a1, a2) or n in subs for n, _ in pp_m):
-                        rep = Poly({pp_m: -c_m / c_u})
+                        rep = Poly({pp_m: Fraction(-c_m, c_u)})
                         subs[u] = rep.substitute(subs)
                         break
     rows = []
@@ -384,6 +384,13 @@ def test_member_and_assignment_reject_an_unknown_parameter(ex52):
             with pytest.raises(PreconditionViolated, match=re.escape(name)):
                 call({name: Fraction(1)})
     assert family.member({family.free[0]: Fraction(0)}) == family.representative()
+
+
+def test_member_and_assignment_reject_a_float_parameter(ex52):
+    family = solve_structured(constraint_system(generic_ansatz(ex52, ex52)))[1]
+    for call in (family.member, family.assignment):
+        with pytest.raises(TypeError):
+            call({family.free[0]: 0.1})
 
 
 def test_equivalence_classes_skip_the_top_degree_scan():

@@ -227,3 +227,32 @@ def test_canonical_form_idempotent(ex51):
     rebuilt = ex51.element(dict(x.terms))
     assert rebuilt == x
     assert rebuilt.terms == x.terms
+
+
+def test_floats_are_rejected_at_every_scalar_entry_point(ex51):
+    from dgalgebra.symbolic import Poly, SymbolicElement
+
+    t = Poly.variable("t")
+    calls = [
+        lambda: ex51.scalar(1.5),
+        lambda: ex51.element({m: 0.5 for m in ex51.gen("x1").terms}),
+        lambda: ex51.gen("x1") * 0.5,
+        lambda: ex51.gen("x1") / 0.5,
+        lambda: Poly.constant(0.1),
+        lambda: Poly({(): 0.5}),
+        lambda: t * 0.25,
+        lambda: 0.25 * t,
+        lambda: t.evaluate({"t": 0.5}),
+        lambda: SymbolicElement.from_element(ex51.gen("x1")) * 0.5,
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_integral_coefficients_are_ints(ex51):
+    g = ex51.namespace()
+    x = (g.x1 + Fraction(4, 2) * g.x2) / Fraction(1, 3)
+    for y in (ex51.one(), g.x1, ex51.scalar(True), ex51.scalar(Fraction(6, 3)), x, x * x, ex51.d(x)):
+        assert all(type(c) is int for c in y.terms.values())
+    assert x / 6 == Fraction(1, 2) * g.x1 + g.x2

@@ -741,8 +741,17 @@ MAP_HEAD = "morphism f : two_stage -> two_stage\n"
         ("map", MAP_HEAD + "u = u\nu = 2*u\nv = 4*v\n", 3, 1, "second image for u (first on line 2)"),
         ("map", MAP_HEAD + "unknown u\nu = u\nv = v\n", 2, 9, "unknown u is a generator of the target"),
         ("map", MAP_HEAD + "unknown t\nunknown t\nu = t*u\nv = t^2*v\n", 3, 9, "unknown t declared twice"),
+        ("dga", "algebra two_stage extra words\ngenerator u : 2\n", 1, 19,
+         "unexpected token 'extra'; usage: algebra <name>"),
+        ("map", MAP_HEAD + "unknown t junk more\nu = u\nv = v\n", 2, 11,
+         "unexpected token 'junk'; usage: unknown <id>"),
+        ("map", "morphism f : two_stage -> two_stage extra\nu = u\nv = v\n", 1, 37,
+         "unexpected token 'extra'; usage: morphism <name> : <source> -> <target>"),
     ],
-    ids=["second-d-line", "repeated-option", "second-image", "unknown-is-a-generator", "unknown-twice"],
+    ids=[
+        "second-d-line", "repeated-option", "second-image", "unknown-is-a-generator", "unknown-twice",
+        "algebra-trailing", "unknown-trailing", "morphism-trailing",
+    ],
 )
 def test_contradictory_input_is_a_positioned_diagnostic(tmp_path, kind, text, line, column, message):
     path = tmp_path / f"input.{kind}"

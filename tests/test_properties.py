@@ -22,10 +22,12 @@ from dgalgebra import (
     decide_nullhomotopic,
     extend_to_homotopy,
     make_decomposition,
+    solve_structured,
 )
 from dgalgebra import algebra as algebra_module
+from dgalgebra import corpus
 from dgalgebra.algebra import extend_derivation, normalize_monomial, transfer_element
-from dgalgebra.classify import _linear_part_invertible, generic_ansatz
+from dgalgebra.classify import _linear_part_invertible, constraint_system, generic_ansatz
 from dgalgebra.cohomology import (
     class_coordinates,
     cohomology_at_degree,
@@ -39,6 +41,7 @@ from dgalgebra.obstruction import Filtration
 from dgalgebra.parser import parse_morphism, parse_presentation, print_morphism, print_presentation
 from conftest import load
 from oracles import (
+    alpha_by_series,
     basis_by_search,
     class_coordinates_by_solve,
     d_matrix_by_derivation,
@@ -307,6 +310,70 @@ def test_gamma_locally_nilpotent(algebra, draw):
         for _ in range(plain_degree + 1):
             power = cyl.gamma(power)
         assert power.is_zero()
+
+
+HALF_SQUARE = """algebra half_square
+generator x : 2
+generator y : 3
+generator z : 5
+d y = 1/2*x^2
+d z = -2/3*x^3
+"""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [corpus.read(n) for n in ("ex51.dga", "ex52.dga", "ex53.dga", "two_stage.dga")] + [HALF_SQUARE],
+    ids=["ex51", "ex52", "ex53", "two_stage", "half_square"],
+)
+def test_alpha_generator_matches_the_series_oracle(text):
+    algebra = parse_presentation(text).presentation
+    cyl = build_cylinder(algebra)
+    for g in cyl.total.generator_names():
+        assert cyl._alpha_generator(g) == alpha_by_series(cyl, g)
+
+
+@given(minimal_algebras(max_gens=4, max_degree=7))
+@settings(max_examples=40)
+def test_alpha_generator_matches_the_series_oracle_on_drawn_algebras(algebra):
+    cyl = build_cylinder(algebra)
+    for g in cyl.total.generator_names():
+        assert cyl._alpha_generator(g) == alpha_by_series(cyl, g)
+
+
+def _assert_exact(*elements):
+    """Every coefficient is an int or a Fraction, never a float or a bool."""
+    for x in elements:
+        for c in x.terms.values():
+            assert type(c) is int or isinstance(c, Fraction), (type(c), c)
+
+
+@given(minimal_algebras(max_gens=3, max_degree=6), st.data())
+@settings(max_examples=40)
+def test_coefficients_are_ints_or_fractions(algebra, draw):
+    x = draw.draw(elements_of(algebra, max_degree=8))
+    y = draw.draw(elements_of(algebra, max_degree=8))
+    cyl = build_cylinder(algebra)
+    z = draw.draw(elements_of(cyl.total, max_degree=8))
+    end = random_chain_map(draw, algebra, algebra)  # Homotopy.end()
+    _assert_exact(x * y, algebra.d(x), x / 3, cyl.alpha(z), *end.images.values())
+
+    used = {n for img in algebra.differential_images().values() for m in img.terms for n in m.generator_names()}
+    v1 = [g.name for g in algebra.generators if g.name not in used]
+    if v1:
+        decomposition = make_decomposition(algebra, v1)
+        f = Morphism(algebra, algebra, {w: random_cocycle(draw, algebra, algebra.degree_of(w)) for w in v1})
+        zero = Morphism.zero_map(algebra, algebra)
+        obstruction = compute_obstruction(f, zero, Homotopy.constant(zero), decomposition)
+        _assert_exact(*(c.representative for c in obstruction.classes.values()))
+
+    try:
+        families = solve_structured(constraint_system(generic_ansatz(algebra, algebra)))
+    except UnsupportedShape:
+        families = []
+    for family in families:
+        member = family.member({p: draw.draw(rationals) for p in family.free})
+        _assert_exact(*member.images.values())
 
 
 def valid_split(draw, algebra):

@@ -166,3 +166,38 @@ def test_one_cylinder_per_source_and_no_subalgebras():
     assert subalgebras == []
     assert cylinders
     assert [where for where, node in cylinders if node not in set(in_build)] == []
+
+
+def _is_fraction_call(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and "Fraction" in (
+        getattr(node.func, "id", None),
+        getattr(node.func, "attr", None),
+    )
+
+
+def _bare_divisions(tree: ast.AST) -> list:
+    """Line numbers of the true divisions ``a / b`` and ``a /= b`` in
+    ``tree`` that have no ``Fraction(...)`` call as an operand."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            operands = (node.target, node.value)
+        else:
+            continue
+        if not any(map(_is_fraction_call, operands)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_true_division_has_a_fraction_operand():
+    """Coefficients are ints where integral, so ``a / b`` on two of them
+    would bring in a float that no exact comparison would notice; every
+    true division in the sources divides with a ``Fraction(...)`` operand."""
+    assert _bare_divisions(ast.parse("x = a / b\nx /= 2\ny = a / Fraction(b)\ny /= Fraction(2)\n")) == [1, 2]
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(f"{path.relative_to(SRC)}:{line}" for line in _bare_divisions(tree))
+    assert found == []

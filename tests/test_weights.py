@@ -144,3 +144,16 @@ def test_equal_power_composites_are_the_same_class(free_even, free_even_weighted
     h2b = scaled_composite(f, "target", assignment, Fraction(2), 2)
     assert h2a == h2b
     assert decide_homotopic(h2a, h2b).yes
+
+
+def test_float_lambda_is_rejected(free_even, free_even_weighted):
+    f = Morphism(free_even, free_even_weighted, {"w": free_even_weighted.gen("x")})
+    assignment = WeightAssignment.from_generators(free_even_weighted)
+    calls = [
+        lambda: phi_lambda(assignment, 0.1),
+        lambda: verify_infinite_family(f, "target", 0.1, 3),
+        lambda: scaled_composite(f, "target", assignment, 0.5, 1),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
