@@ -554,7 +554,11 @@ class Element:
             c = _as_rational(other)
             if not c:
                 return self.algebra.zero()
-            return Element(self.algebra, {m: co * c for m, co in self.terms.items()})
+            # integral products become ints, so a later product pays no Fraction
+            return Element(
+                self.algebra,
+                {m: p if type(p := co * c) is int else _as_rational(p) for m, co in self.terms.items()},
+            )
         if not isinstance(other, Element):
             return NotImplemented
         self._check_same(other)

@@ -84,6 +84,12 @@ def _load_valid_presentation(path: str) -> AlgebraPresentation:
     return algebra
 
 
+def _load_pair(load, first: str, second: str):
+    """``load`` of both paths; a path named twice is loaded once."""
+    x = load(first)
+    return x, (x if second == first else load(second))
+
+
 def _load_morphism(path: str, source, target) -> Morphism:
     result = parse_morphism(_read_file(path), source, target)
     if result.diagnostics:
@@ -196,8 +202,7 @@ def cmd_selfmaps(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    source = _load_valid_presentation(args.source)
-    target = _load_valid_presentation(args.target)
+    source, target = _load_pair(_load_valid_presentation, args.source, args.target)
     classification = classify_homotopy_set(source, target)
     data = {
         "command": "classify",
@@ -227,8 +232,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_nullhomotopic(args) -> int:
-    source = _load_valid_presentation(args.source)
-    target = _load_valid_presentation(args.target)
+    source, target = _load_pair(_load_valid_presentation, args.source, args.target)
     f = _load_morphism(args.mapfile, source, target)
     if args.filtration == "stages":
         filtration = Filtration.from_generator_stages(source)
@@ -264,10 +268,8 @@ def cmd_nullhomotopic(args) -> int:
 
 
 def cmd_homotopic(args) -> int:
-    source = _load_valid_presentation(args.source)
-    target = _load_valid_presentation(args.target)
-    f = _load_morphism(args.f, source, target)
-    g = _load_morphism(args.g, source, target)
+    source, target = _load_pair(_load_valid_presentation, args.source, args.target)
+    f, g = _load_pair(lambda path: _load_morphism(path, source, target), args.f, args.g)
     decision = decide_homotopic(f, g)
     data = {"command": "homotopic", "verdict": decision.verdict, "detail": decision.detail}
     if decision.yes:
@@ -295,10 +297,8 @@ def cmd_homotopic(args) -> int:
 
 
 def cmd_obstruction(args) -> int:
-    source = _load_valid_presentation(args.source)
-    target = _load_valid_presentation(args.target)
-    f = _load_morphism(args.f, source, target)
-    g = _load_morphism(args.g, source, target)
+    source, target = _load_pair(_load_valid_presentation, args.source, args.target)
+    f, g = _load_pair(lambda path: _load_morphism(path, source, target), args.f, args.g)
     v0 = [s for s in args.v0.split(",") if s]
     unknown = set(v0) - set(source.generator_names())
     if unknown:
@@ -333,8 +333,7 @@ def cmd_obstruction(args) -> int:
 
 
 def cmd_family(args) -> int:
-    source = _load_valid_presentation(args.source)
-    target = _load_valid_presentation(args.target)
+    source, target = _load_pair(_load_valid_presentation, args.source, args.target)
     f = _load_morphism(args.f, source, target)
     side = "source" if args.weights_side == "src" else "target"
     report = verify_infinite_family(f, side, args.lam, args.count)

@@ -26,12 +26,26 @@ drops and the series is finite on every monomial.
 On a generator the series keeps ``gamma**n(v)`` undivided (``int``
 coefficients on an integral presentation) and adds each of its terms with
 one division by ``n!``, so the products of the series stay integral.
+
+The reach of v is the set of generators in d(v), together with everything
+those generators reach in turn.  Every term of the correction
+``alpha(v) - v - hat v`` carries a bar, and all its decorated factors
+belong to generators in the reach of v.  Proof sketch: gamma kills every
+barred and hatted generator, and ``gamma(u) = hat u + i(d u)``, so
+``alpha(v) - v - hat v = sum_{n>=1} gamma**(n-1)(i(d v)) / n!``.  Each term
+of ``i(d v)`` has one bar and plain factors from d(v); each gamma step
+turns one plain factor u into ``hat u`` or into a term of ``i(d u)``, so
+decorations only pile up and every plain factor stays in the reach.  A
+homotopy H sends ``bar u`` to its bar image h(u) and ``hat u`` to
+``d(h(u))``, so when h vanishes on the reach of v, H kills the whole
+correction and ``H(alpha(v)) = f(v) + d(h(v))``; ``Homotopy.correction_image``
+then returns zero without expanding the series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping
+from typing import Dict, FrozenSet, Mapping, Optional
 
 from .algebra import (
     AlgebraPresentation,
@@ -41,9 +55,10 @@ from .algebra import (
     _add_term,
     _extend_terms,
     extend_derivation,
+    require_graded,
     transfer_element,
 )
-from .errors import DegreeMismatch, PresentationMismatch
+from .errors import DegreeMismatch, PresentationMismatch, UnknownGenerator
 
 
 class CylinderAlgebra:
@@ -52,11 +67,14 @@ class CylinderAlgebra:
     Barred and hatted copies are named ``v@bar`` / ``v@hat``; ``@`` cannot
     occur in parsed identifiers, so the scheme never collides and the same
     base generator gets the same decorated names in every (sub-)cylinder.
+    The base must be graded (each ``d(v)`` homogeneous of degree ``|v| + 1``),
+    else the alpha series need not end.
     """
 
     def __init__(self, base: AlgebraPresentation):
         if any("@" in n for n in base.generator_names()):
             raise PresentationMismatch("cannot build a cylinder over a cylinder")
+        require_graded(base)
         self.base = base
         self.bar_name: Dict[str, str] = {g.name: f"{g.name}@bar" for g in base.generators}
         self.hat_name: Dict[str, str] = {g.name: f"{g.name}@hat" for g in base.generators}
@@ -76,6 +94,7 @@ class CylinderAlgebra:
         self._i_images = {g.name: self.total.gen(self.bar_name[g.name]) for g in base.generators}
         self._gamma_images: Dict[str, Element] = {}
         self._alpha_gen: Dict[str, Element] = {}
+        self._reach: Optional[Dict[str, FrozenSet[str]]] = None
 
     # -- derivations ------------------------------------------------------------
 
@@ -121,6 +140,33 @@ class CylinderAlgebra:
             n += 1
         self._alpha_gen[name] = out = self.total.element(acc)
         return out
+
+    def reach(self, name: str) -> FrozenSet[str]:
+        """The base generators in d(``name``), with everything they reach.
+
+        Built once for every generator, in generator order: when d(v) is
+        decomposable, every generator in it has a lower degree (degrees are
+        >= 2 on a cylinder's base), so it comes first and its set is ready;
+        a worklist, not recursion, covers the rest.
+        """
+        if self._reach is None:
+            reach: Dict[str, FrozenSet[str]] = {}
+            for g in self.base.generators:
+                out, todo = set(), [g.name]
+                while todo:
+                    for m in self.base.differential_image(todo.pop()).terms:
+                        for u in m.generator_names():
+                            if u not in out:
+                                out.add(u)
+                                if u in reach:
+                                    out |= reach[u]
+                                else:
+                                    todo.append(u)
+                reach[g.name] = frozenset(out)
+            self._reach = reach
+        if name not in self._reach:
+            raise UnknownGenerator(name)
+        return self._reach[name]
 
     def correction(self, name: str) -> Element:
         """alpha(v) - v - hat(v) for a base generator; decomposable, and only
@@ -190,9 +236,22 @@ class Homotopy:
             self._morphism = Morphism(self.cylinder.total, self.target, images)
         return self._morphism
 
+    def correction_image(self, name: str) -> Element:
+        """H(alpha(v) - v - hat v) for the base generator v = ``name``.
+
+        Zero, with no series expanded, when the bars vanish on the reach of
+        v: every term of the correction then has a factor that H kills.
+        """
+        bars = self.bar_images
+        if all(bars[u].is_zero() for u in self.cylinder.reach(name)):
+            return self.target.zero()
+        return self.as_morphism().apply(self.cylinder.correction(name))
+
     def end_image(self, name: str) -> Element:
-        """The end map's image of the base generator ``name``, H(alpha(name))."""
-        return self.as_morphism().apply(self.cylinder.alpha(self.cylinder.total.gen(name)))
+        """The end map's image of the base generator v = ``name``,
+        ``H(alpha(v)) = f(v) + d(H(bar v)) + H(alpha(v) - v - hat v)``."""
+        correction = self.correction_image(name)
+        return self.start.images[name] + self.target.d(self.bar_images[name]) + correction
 
     def end(self) -> Morphism:
         if self._end is None:

@@ -10,12 +10,18 @@ subalgebra, and the obstruction assigns to each V1 generator w the class of
 in the target cohomology at degree |w|.  The correction term only involves
 the plain, barred and hatted copies of V0 (so only H's bars on V0 matter)
 and the representative is always a cocycle; both facts are checked at
-runtime.  A homotopy on V0 is therefore given on the source's one cylinder:
-it starts at f, only its bars on V0 are read, and its bars on V1 are zero.
-Zero bars on V1 are the extension of a homotopy on the V0 subalgebra along
-the cofibration into the whole source.  Vanishing of every class is exactly
-the condition for extending H over all of V, and the extension is written
-down from the coboundary witnesses.
+runtime.  More precisely, every term of the correction carries a bar, and
+its decorated factors all belong to generators that d(w) reaches (the
+proof is in the ``cylinder`` docstring).  So H(...) is zero when H's bars
+vanish on that reach, as they do for the constant homotopy and at the
+first stage of the stage-wise deciders, and then no series is applied.
+
+As only H's bars on V0 matter, a homotopy on V0 is given on the source's
+one cylinder: it starts at f, only its bars on V0 are read, and its bars on
+V1 are zero.  Zero bars on V1 are the extension of a homotopy on the V0
+subalgebra along the cofibration into the whole source.  Vanishing of every
+class is exactly the condition for extending H over all of V, and the
+extension is written down from the coboundary witnesses.
 
 Every entry point runs one stage loop with one growing dict of bars: the
 extension of H is the single stage V1 started from H's bars on V0, and the
@@ -105,10 +111,11 @@ def _obstruction_classes(
 
     Checks the structural facts the construction relies on: each correction
     is decomposable and only involves the plain, barred and hatted copies of
-    generators that carry a bar.
+    generators that carry a bar.  H is applied to a correction only when a
+    bar is nonzero on the reach of w (see ``Homotopy.correction_image``).
     """
     cylinder = build_cylinder(f.source)
-    h_map = Homotopy(cylinder, f, bars).as_morphism()
+    h = Homotopy(cylinder, f, bars)
     allowed = set(bars)
     allowed.update(cylinder.bar_name[n] for n in bars)
     allowed.update(cylinder.hat_name[n] for n in bars)
@@ -122,7 +129,7 @@ def _obstruction_classes(
                 raise LemmaViolation(
                     f"correction of {w} escapes the copies of the generators with a bar (term {m})"
                 )
-        rep = f.images[w] + h_map.apply(xi) - g.images[w]
+        rep = f.images[w] + h.correction_image(w) - g.images[w]
         classes[w] = CohomologyClass(f.target, f.source.degree_of(w), rep)
     return classes
 

@@ -253,6 +253,7 @@ def test_floats_are_rejected_at_every_scalar_entry_point(ex51):
 def test_integral_coefficients_are_ints(ex51):
     g = ex51.namespace()
     x = (g.x1 + Fraction(4, 2) * g.x2) / Fraction(1, 3)
-    for y in (ex51.one(), g.x1, ex51.scalar(True), ex51.scalar(Fraction(6, 3)), x, x * x, ex51.d(x)):
+    quotients = (x / 3, (x / 6) * 2, (x / 6) - Fraction(1, 2) * g.x1)  # integral Fractions become ints
+    for y in (ex51.one(), g.x1, ex51.scalar(True), ex51.scalar(Fraction(6, 3)), x, x * x, ex51.d(x), *quotients):
         assert all(type(c) is int for c in y.terms.values())
     assert x / 6 == Fraction(1, 2) * g.x1 + g.x2

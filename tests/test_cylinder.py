@@ -6,9 +6,11 @@ import pytest
 
 from dgalgebra import (
     AlgebraPresentation,
+    DegreeMismatch,
     Homotopy,
     HomotopyEndpointMismatch,
     Morphism,
+    UnknownGenerator,
     build_cylinder,
     extend_to_homotopy,
     make_decomposition,
@@ -66,6 +68,27 @@ def test_alpha_correction_ideal_membership(ex52):
         assert set(names) <= allowed
         assert any(n.endswith("@bar") for n in names)
         assert any(not n.endswith("@bar") for n in names)
+
+
+def test_a_misgraded_base_has_no_cylinder():
+    # |a*v| = 7, not |v| + 1 = 5, so the alpha series on v would never end
+    A = AlgebraPresentation.build([("a", 3), ("v", 4)], lambda g: {"v": g.a * g.v})
+    with pytest.raises(DegreeMismatch, match=r"d\(v\)"):
+        build_cylinder(A)
+
+
+def test_reach_is_the_closure_of_the_differential_support():
+    # d(c) names b, p and e but not a, which b and p reach; d(s) = t points
+    # forward in generator order and d(t) points back at s
+    A = AlgebraPresentation.build(
+        [("a", 2), ("e", 2), ("b", 3), ("p", 3), ("c", 4), ("s", 5), ("t", 6)],
+        lambda g: {"b": g.a**2, "p": g.a**2, "c": (g.b - g.p) * g.e, "s": g.t, "t": g.s * g.e},
+    )
+    cyl = build_cylinder(A)
+    reach = {n: "".join(sorted(cyl.reach(n))) for n in A.generator_names()}
+    assert reach == {"a": "", "e": "", "b": "a", "p": "a", "c": "abep", "s": "est", "t": "est"}
+    with pytest.raises(UnknownGenerator):
+        cyl.reach("a@bar")
 
 
 def test_end_map_with_zero_bars_is_start(ex53):

@@ -303,6 +303,25 @@ def test_cli_selfmaps_classifies_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homotopic", "ex53.dga", "ex53.dga", "ex53_id.map", "ex53_id.map"],
+        ["obstruction", "ex53.dga", "ex53.dga", "ex53_id.map", "ex53_id.map", "--v0", "x1,x2,y1,y2,y3"],
+    ],
+    ids=["homotopic", "obstruction"],
+)
+def test_cli_reads_a_file_named_twice_once(monkeypatch, argv):
+    from dgalgebra import cli
+
+    read = []
+    read_file = cli._read_file
+    monkeypatch.setattr(cli, "_read_file", lambda path: read.append(path) or read_file(path))
+    code, _, _ = run_cli(*argv)
+    assert code == 0
+    assert read == ["ex53.dga", "ex53_id.map"]
+
+
 def test_cli_selfmaps_ex53():
     code, out, _ = run_cli("selfmaps", "ex53.dga", "--json")
     assert code == 0

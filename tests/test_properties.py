@@ -56,6 +56,7 @@ from strategies import (
     algebra_with_elements,
     elements_of,
     minimal_algebras,
+    nonzero_rationals,
     points,
     rationals,
     symbolic_elements_of,
@@ -339,6 +340,59 @@ def test_alpha_generator_matches_the_series_oracle_on_drawn_algebras(algebra):
     cyl = build_cylinder(algebra)
     for g in cyl.total.generator_names():
         assert cyl._alpha_generator(g) == alpha_by_series(cyl, g)
+
+
+# d(c) names b, p and e but not a, which b and p reach
+DEEP = """algebra deep
+generator a : 2
+generator e : 2
+generator b : 3
+generator p : 3
+generator c : 4
+d b = a^2
+d p = a^2
+d c = (b - p)*e
+"""
+
+
+def _homotopy_with_zero_bars(draw, algebra):
+    """A homotopy from the identity whose bars are zero on a drawn set of
+    generators (none, all or any) and one drawn monomial elsewhere."""
+    names = algebra.generator_names()
+    zero = draw.draw(st.one_of(st.just(set()), st.just(set(names)), st.sets(st.sampled_from(names))))
+    bars = {}
+    for g in algebra.generators:
+        basis = algebra.monomial_basis(g.degree - 1)
+        if basis and g.name not in zero:
+            bars[g.name] = algebra.element({draw.draw(st.sampled_from(basis)): draw.draw(nonzero_rationals)})
+    return Homotopy(build_cylinder(algebra), Morphism.identity(algebra), bars)
+
+
+def _assert_images_match_the_series_oracle(h):
+    """``end_image`` and ``correction_image`` are H applied to the series."""
+    cyl, H = h.cylinder, h.as_morphism()
+    for v in cyl.base.generator_names():
+        series = alpha_by_series(cyl, v)
+        assert h.end_image(v) == H.apply(series)
+        assert h.correction_image(v) == H.apply(series - cyl.total.gen(v) - cyl.total.gen(cyl.hat_name[v]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [corpus.read(n) for n in ("ex51.dga", "ex52.dga", "ex53.dga")] + [DEEP],
+    ids=["ex51", "ex52", "ex53", "deep"],
+)
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_end_and_correction_images_match_the_series_oracle(text, draw):
+    algebra = parse_presentation(text).presentation
+    _assert_images_match_the_series_oracle(_homotopy_with_zero_bars(draw, algebra))
+
+
+@given(minimal_algebras(max_gens=4, max_degree=7), st.data())
+@settings(max_examples=40)
+def test_end_and_correction_images_match_the_series_oracle_on_drawn_algebras(algebra, draw):
+    _assert_images_match_the_series_oracle(_homotopy_with_zero_bars(draw, algebra))
 
 
 def _assert_exact(*elements):

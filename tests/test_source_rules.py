@@ -168,6 +168,20 @@ def test_one_cylinder_per_source_and_no_subalgebras():
     assert [where for where, node in cylinders if node not in set(in_build)] == []
 
 
+def test_homotopies_are_applied_only_inside_cylinder_py():
+    """``Homotopy.as_morphism()`` is called only in ``cylinder.py``, so every
+    image under H of alpha or of a correction is read through
+    ``Homotopy.end_image`` or ``Homotopy.correction_image``, which skip the
+    series when the bars vanish on the generators that d(v) reaches."""
+    calls = [
+        where
+        for where, node in _nodes()
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "as_morphism"
+    ]
+    assert calls
+    assert [where for where in calls if not where.startswith("cylinder.py:")] == []
+
+
 def _is_fraction_call(node: ast.AST) -> bool:
     return isinstance(node, ast.Call) and "Fraction" in (
         getattr(node.func, "id", None),
