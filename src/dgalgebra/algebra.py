@@ -39,7 +39,6 @@ be shared freely between threads.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -191,6 +190,7 @@ class AlgebraPresentation:
         "_frozen",
         "_hash",
         "_basis_cache",
+        "_block_ends",
         "_sub_cache",
         "_cohomology_cache",
         "_d_matrix_cache",
@@ -216,6 +216,7 @@ class AlgebraPresentation:
         self._cylinder = None
         self._unit = Monomial((0,) * len(gens), 0, 0, self.generators)
         self._basis_cache = {0: [self._unit]}
+        self._block_ends = {0: [0] * len(gens)}
         self.label = label
 
     # -- construction ------------------------------------------------------
@@ -378,7 +379,9 @@ class AlgebraPresentation:
         ``g_i**a`` times a monomial of degree ``n - a*|g_i|`` in the later
         generators.  Those form a suffix of the sorted lower basis, and
         taking ``i`` and then ``a`` in increasing order yields the sorted
-        basis without a sort.
+        basis without a sort.  Each degree also keeps, for every ``i``, the
+        end of the block of monomials whose first generator is ``g_i`` or an
+        earlier one; the suffix above starts there.
         """
         if n < 0:
             return []
@@ -386,22 +389,29 @@ class AlgebraPresentation:
         cached = cache.get(n)
         if cached is not None:
             return cached
+        ends = self._block_ends
         gens = self.generators
         for k in range(1, n + 1):
             if k in cache:
                 continue
             out = []
+            block_ends = [0] * len(gens)
             for i, g in enumerate(gens):
-                if g.degree > k:
-                    break
-                bit = g.is_odd << i
-                for a in range(1, 2 if bit else k // g.degree + 1):
-                    lower = cache[k - a * g.degree]
-                    start = bisect_right(lower, i, key=_first_index)
-                    for m in lower[start:]:
-                        e = m.exponents
-                        out.append(Monomial(e[:i] + (a,) + e[i + 1 :], k, m.odd | bit, gens))
+                if g.degree <= k:
+                    bit = g.is_odd << i
+                    for a in range(1, 2 if bit else k // g.degree + 1):
+                        j = k - a * g.degree
+                        lower = cache[j]
+                        start = ends[j][i]
+                        if start < len(lower):
+                            head = (0,) * i + (a,)
+                            out += [
+                                Monomial(head + m.exponents[i + 1 :], k, m.odd | bit, gens)
+                                for m in lower[start:]
+                            ]
+                block_ends[i] = len(out)
             cache[k] = out
+            ends[k] = block_ends
         return cache[n]
 
     def monomial_sort_key(self, m: Monomial):
@@ -472,15 +482,6 @@ def _reindex(m: Monomial, target: AlgebraPresentation) -> Monomial:
             exponents[i] = e
             odd |= g.is_odd << i
     return Monomial(tuple(exponents), m.degree, odd, target.generators)
-
-
-def _first_index(m: Monomial) -> int:
-    """Position of the first generator of ``m``; the unit gives the length."""
-    e = m.exponents
-    for i, x in enumerate(e):
-        if x:
-            return i
-    return len(e)
 
 
 class Element:

@@ -77,13 +77,12 @@ def generic_ansatz(source: AlgebraPresentation, target: AlgebraPresentation) -> 
     images = {}
     unknowns: List[str] = []
     for g in source.generators:
-        basis = target.monomial_basis(g.degree)
-        sym = SymbolicElement.zero(target)
-        for k, m in enumerate(basis):
+        terms = {}
+        for k, m in enumerate(target.monomial_basis(g.degree)):
             name = f"{g.name}.{k}"
             unknowns.append(name)
-            sym = sym + SymbolicElement(target, {m: Poly.variable(name)})
-        images[g.name] = sym
+            terms[m] = Poly.variable(name)
+        images[g.name] = SymbolicElement(target, terms)
     return UnknownMorphism(source, target, images, unknowns)
 
 
@@ -196,14 +195,14 @@ class SolutionFamily:
             self._representative = self.member()
         return self._representative
 
-    def substitution(self) -> Dict[str, Poly]:
-        """Fixed and dependent unknowns as polynomials in the free parameters."""
-        subs: Dict[str, Poly] = {n: Poly.constant(c) for n, c in self.fixed.items()}
+    def substitution(self) -> Dict[str, object]:
+        """Fixed unknowns as their rational values and dependent unknowns as
+        polynomials in the free parameters, ready for ``Poly.substitute``."""
+        subs: Dict[str, object] = dict(self.fixed)
         for name, expr in self.dependent.items():
-            p = Poly.constant(expr.constant)
-            for pname, c in expr.coefficients.items():
-                p = p + Poly.variable(pname) * c
-            subs[name] = p
+            terms = {((pname, 1),): c for pname, c in expr.coefficients.items()}
+            terms[()] = expr.constant
+            subs[name] = Poly(terms)
         return subs
 
 
@@ -219,7 +218,7 @@ def _case_split(
         # the unknown this branch newly fixes to zero, is left to substitute
         simplified: List[Poly] = []
         for p in current:
-            q = p if zero is None else p.substitute({zero: Poly.constant(0)})
+            q = p if zero is None else _substituted(p, {zero: 0})
             if q.is_zero():
                 continue
             if q.is_constant():
@@ -279,58 +278,73 @@ def _case_split(
     return results
 
 
+def _substituted(p: Poly, values: Dict[str, object]) -> Poly:
+    """``p`` with ``values`` substituted; ``p`` itself when none of its
+    unknowns has a value."""
+    return p if p.variables().isdisjoint(values) else p.substitute(values)
+
+
+def _definition(p: Poly) -> Optional[Tuple[str, Poly]]:
+    """``(u, -(d/c)*M)`` when ``p`` is ``c*u + d*M`` with ``u`` a bare
+    unknown absent from the monomial ``M``, else None."""
+    if len(p.terms) != 2:
+        return None
+    terms = sorted(p.terms.items())
+    for (pp_a, c_a), (pp_b, c_b) in ((terms[0], terms[1]), (terms[1], terms[0])):
+        if len(pp_a) == 1 and pp_a[0][1] == 1:
+            u = pp_a[0][0]
+            if all(n != u for n, _ in pp_b):
+                return u, Poly({pp_b: Fraction(-c_b, c_a)})
+    return None
+
+
 def eliminate_defined_unknowns(system: ConstraintSystem):
     """Triangularise the nonlinear part of the system.
 
-    Repeatedly removes equations of the shape ``c*u + d*M = 0`` where ``u``
-    is a bare unknown absent from the monomial ``M``, recording
-    ``u := -(d/c)*M`` and substituting.  Returns
+    Repeatedly removes the first equation of the shape ``c*u + d*M = 0``
+    where ``u`` is a bare unknown absent from the monomial ``M``, recording
+    ``u := -(d/c)*M`` and substituting it into the equations that contain
+    ``u``.  An index from each unknown to those equations means each record
+    is substituted into each equation at most once, and only the equations a
+    record changed are tested again.  Returns
     ``(records, reduced nonlinear polys, linear polys)``.
     """
     all_polys = [eq.poly for eq in system.equations]
     nonlinear = [p for p in all_polys if p.max_term_degree() >= 2]
     linear = [p for p in all_polys if p.max_term_degree() <= 1 and not p.is_zero()]
 
+    work = dict(enumerate(nonlinear))  # position -> live equation
+    index: Dict[str, set] = {}
+    for k, p in work.items():
+        for n in p.variables():
+            index.setdefault(n, set()).add(k)
+    ready = {k for k, p in work.items() if _definition(p)}  # eligible live positions
     records: List[Tuple[str, Poly]] = []
-    work = list(nonlinear)
-    changed = True
-    while changed:
-        changed = False
-        for idx, p in enumerate(work):
-            terms = sorted(p.terms.items())
-            if len(terms) != 2:
+    while ready:
+        k = min(ready)
+        ready.remove(k)
+        u, replacement = definition = _definition(work.pop(k))
+        records.append(definition)
+        new_names = replacement.variables()
+        for j in index.pop(u, ()):
+            # the index may name an equation that lost u to a cancellation
+            if j not in work or u not in work[j].variables():
                 continue
-            for (pp_a, c_a), (pp_b, c_b) in ((terms[0], terms[1]), (terms[1], terms[0])):
-                if len(pp_a) == 1 and pp_a[0][1] == 1:
-                    u = pp_a[0][0]
-                    if all(n != u for n, _ in pp_b):
-                        replacement = Poly({pp_b: Fraction(-c_b, c_a)})
-                        records.append((u, replacement))
-                        new_work = []
-                        for k, q in enumerate(work):
-                            if k == idx:
-                                continue
-                            q2 = _normalize_poly(q.substitute({u: replacement}))
-                            if not q2.is_zero():
-                                new_work.append(q2)
-                        work = new_work
-                        changed = True
-                        break
-            if changed:
-                break
+            q = _normalize_poly(work[j].substitute({u: replacement}))
+            ready.discard(j)
+            if q.is_zero():
+                del work[j]
+                continue
+            work[j] = q
+            for n in new_names:
+                index.setdefault(n, set()).add(j)
+            if _definition(q):
+                ready.add(j)
 
-    seen = set()
-    reduced = []
-    for p in work:
-        key = p.canonical()
-        if key not in seen:
-            seen.add(key)
-            reduced.append(p)
-    for p in reduced:
-        if p.max_term_degree() <= 1:
-            linear.append(p)
-    reduced = [p for p in reduced if p.max_term_degree() >= 2]
-    return records, reduced, linear
+    # live equations in position order, each distinct one once
+    reduced = list({p.canonical(): p for p in work.values()}.values())
+    linear += [p for p in reduced if p.max_term_degree() <= 1]
+    return records, [p for p in reduced if p.max_term_degree() >= 2], linear
 
 
 def solve_structured(system: ConstraintSystem) -> List[SolutionFamily]:
@@ -354,7 +368,7 @@ def solve_structured(system: ConstraintSystem) -> List[SolutionFamily]:
     for assign in assignments:
         full = dict(assign)
         for name, replacement in reversed(records):
-            value = replacement.substitute({k: Poly.constant(v) for k, v in full.items()})
+            value = _substituted(replacement, full)
             if not value.is_constant():
                 raise UnsupportedShape(
                     f"eliminated unknown {name} does not resolve to a constant"
@@ -365,7 +379,7 @@ def solve_structured(system: ConstraintSystem) -> List[SolutionFamily]:
         lin_polys = []
         consistent = True
         for p in linear:
-            q = p.substitute({k: Poly.constant(v) for k, v in full.items()})
+            q = _substituted(p, full)
             if q.is_zero():
                 continue
             if q.is_constant():
@@ -418,7 +432,7 @@ def _verify_family(system: ConstraintSystem, family: SolutionFamily):
     free parameters, and the representative is a chain map."""
     subs = family.substitution()
     for eq in system.equations:
-        if not eq.poly.substitute(subs).is_zero():
+        if not _substituted(eq.poly, subs).is_zero():
             raise PreconditionViolated(f"internal inconsistency: family violates {eq}")
     if not family.representative().verified:
         raise PreconditionViolated(

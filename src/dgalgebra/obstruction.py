@@ -111,8 +111,13 @@ def _obstruction_classes(
 
     Checks the structural facts the construction relies on: each correction
     is decomposable and only involves the plain, barred and hatted copies of
-    generators that carry a bar.  H is applied to a correction only when a
-    bar is nonzero on the reach of w (see ``Homotopy.correction_image``).
+    generators that carry a bar.  Both hold without expanding the correction
+    when the reach of w lies among those generators and every term of d(w)
+    has two or more factors, since every factor of the correction belongs to
+    a copy of a generator in the reach and gamma never lowers a term's
+    factor count; otherwise the correction is checked term by term.  H is
+    applied to a correction only when a bar is nonzero on the reach of w
+    (see ``Homotopy.correction_image``).
     """
     cylinder = build_cylinder(f.source)
     h = Homotopy(cylinder, f, bars)
@@ -121,14 +126,16 @@ def _obstruction_classes(
     allowed.update(cylinder.hat_name[n] for n in bars)
     classes = {}
     for w in names:
-        xi = cylinder.correction(w)
-        for m in xi.terms:
-            if m.factor_count() < 2:
-                raise LemmaViolation(f"correction of {w} has indecomposable term {m}")
-            if not allowed.issuperset(m.generator_names()):
-                raise LemmaViolation(
-                    f"correction of {w} escapes the copies of the generators with a bar (term {m})"
-                )
+        if not cylinder.reach(w).issubset(bars) or any(
+            m.factor_count() < 2 for m in f.source.differential_image(w).terms
+        ):
+            for m in cylinder.correction(w).terms:
+                if m.factor_count() < 2:
+                    raise LemmaViolation(f"correction of {w} has indecomposable term {m}")
+                if not allowed.issuperset(m.generator_names()):
+                    raise LemmaViolation(
+                        f"correction of {w} escapes the copies of the generators with a bar (term {m})"
+                    )
         rep = f.images[w] + h.correction_image(w) - g.images[w]
         classes[w] = CohomologyClass(f.target, f.source.degree_of(w), rep)
     return classes

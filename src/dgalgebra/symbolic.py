@@ -133,21 +133,37 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         return _power(operator.mul, self, k, Poly.constant(1))
 
-    def substitute(self, values: Mapping[str, "Poly"]) -> "Poly":
-        """Replace unknowns by polynomials (rationals wrap as constants)."""
-        out = Poly()
+    def substitute(self, values: Mapping[str, object]) -> "Poly":
+        """Replace unknowns by polynomials or by rationals (ints and
+        Fractions).  A term with no replaced unknown is copied unchanged, and
+        each power of a value is computed once per call."""
+        powers: Dict[Tuple[str, int], object] = {}
+        out: Dict[PowerProduct, Fraction] = {}
         for pp, c in self.terms.items():
-            term = Poly.constant(c)
+            if not any(n in values for n, _ in pp):
+                _add_term(out, pp, c)
+                continue
+            products = [(tuple(f for f in pp if f[0] not in values), 1)]
             for n, e in pp:
-                rep = values.get(n)
-                if rep is None:
-                    term = term * Poly.variable(n) ** e
-                else:
-                    if not isinstance(rep, Poly):
-                        rep = Poly.constant(rep)
-                    term = term * rep**e
-            out = out + term
-        return out
+                if n in values:
+                    power = powers.get((n, e))
+                    if power is None:
+                        v = values[n]
+                        power = powers[n, e] = v**e if isinstance(v, Poly) else _as_rational(v) ** e
+                    if isinstance(power, Poly):
+                        products = [
+                            (_merge_power_products(pp1, pp2), c1 * c2)
+                            for pp1, c1 in products
+                            for pp2, c2 in power.terms.items()
+                        ]
+                    else:
+                        c *= power
+            if c:
+                for pp2, c2 in products:
+                    _add_term(out, pp2, c * c2)
+        p = Poly()
+        p.terms = out
+        return p
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         out = 0

@@ -12,6 +12,17 @@ settings.register_profile(
 settings.load_profile("exact")
 
 
+# d(b) = a is not decomposable, so the correction of b is the single
+# indecomposable term bar(a)
+LINEAR_D = """algebra linear_d
+generator b : 2
+generator a : 3
+generator e : 4
+d b = a
+d e = b*a
+"""
+
+
 def load(name):
     result = parse_presentation(corpus.read(name))
     assert result.presentation is not None, result.diagnostics

@@ -408,3 +408,76 @@ def basis_by_search(algebra, n):
         if sum(d * e for d, e in zip(degrees, exps)) == n:
             found.append(tuple((i, e) for i, e in enumerate(exps) if e))
     return [tuple((names[i], e) for i, e in pairs) for pairs in sorted(found)]
+
+
+# -- substitution and elimination by expansion, without the library's kernel ------
+
+
+def substitute_by_expansion(poly, values):
+    """``poly`` with ``values`` (name -> Poly, int or Fraction) put in for its
+    unknowns, one copy of one factor at a time: each partial product is a
+    ``{name: exponent}`` dict with a coefficient."""
+    from dgalgebra.symbolic import Poly
+
+    out = {}
+    for pp, c in poly.terms.items():
+        partial = [({}, Fraction(c))]
+        for name, e in pp:
+            value = values.get(name, Poly.variable(name))
+            value_terms = value.terms if isinstance(value, Poly) else {(): value}
+            for _ in range(e):
+                expanded = []
+                for exps, c1 in partial:
+                    for pp2, c2 in value_terms.items():
+                        product = dict(exps)
+                        for n, k in pp2:
+                            product[n] = product.get(n, 0) + k
+                        expanded.append((product, c1 * c2))
+                partial = expanded
+        for exps, c1 in partial:
+            key = tuple(sorted(exps.items()))
+            out[key] = out.get(key, 0) + c1
+    return Poly(out)
+
+
+def eliminate_by_restart(system):
+    """The structured solver's elimination by a scan that starts over after
+    every record: the first equation ``c*u + d*M = 0`` (``u`` a bare unknown
+    absent from the monomial ``M``) defines ``u := -(d/c)*M``, which is
+    substituted into every other equation.  Returns ``(records, reduced
+    nonlinear polys, linear polys)`` as ``eliminate_defined_unknowns`` does."""
+    from dgalgebra.classify import _normalize_poly
+    from dgalgebra.symbolic import Poly
+
+    all_polys = [eq.poly for eq in system.equations]
+    work = [p for p in all_polys if p.max_term_degree() >= 2]
+    linear = [p for p in all_polys if p.max_term_degree() <= 1 and not p.is_zero()]
+    records = []
+    changed = True
+    while changed:
+        changed = False
+        for idx, p in enumerate(work):
+            terms = sorted(p.terms.items())
+            if len(terms) != 2:
+                continue
+            for (pp_a, c_a), (pp_b, c_b) in ((terms[0], terms[1]), (terms[1], terms[0])):
+                if len(pp_a) == 1 and pp_a[0][1] == 1 and all(n != pp_a[0][0] for n, _ in pp_b):
+                    u = pp_a[0][0]
+                    replacement = Poly({pp_b: Fraction(-c_b, c_a)})
+                    records.append((u, replacement))
+                    substituted = (
+                        _normalize_poly(substitute_by_expansion(q, {u: replacement}))
+                        for k, q in enumerate(work)
+                        if k != idx
+                    )
+                    work = [q for q in substituted if not q.is_zero()]
+                    changed = True
+                    break
+            if changed:
+                break
+    reduced = []
+    for p in work:
+        if p.canonical() not in {q.canonical() for q in reduced}:
+            reduced.append(p)
+    linear += [p for p in reduced if p.max_term_degree() <= 1]
+    return records, [p for p in reduced if p.max_term_degree() >= 2], linear

@@ -16,7 +16,7 @@ from dgalgebra import (
     self_equivalence_group,
     solve_structured,
 )
-from dgalgebra.symbolic import Poly
+from dgalgebra.symbolic import Poly, SymbolicElement
 from conftest import load
 
 
@@ -305,6 +305,21 @@ def test_self_equivalence_groups(ex51, ex52, ex53):
                         group.table[(group.table[(i, j)], k)]
                         == group.table[(i, group.table[(j, k)])]
                     )
+
+
+def test_selfmaps_substitution_count_stays_under_its_ceiling(monkeypatch):
+    # a deterministic count, no time: each record is substituted only into
+    # the equations that contain it, and numeric values skip the polynomials
+    # they do not touch
+    calls = []
+    for cls in (Poly, SymbolicElement):
+        substitute = cls.substitute
+        monkeypatch.setattr(
+            cls, "substitute", lambda p, values, substitute=substitute: calls.append(p) or substitute(p, values)
+        )
+    for name in ("ex51.dga", "ex52.dga", "ex53.dga"):
+        self_equivalence_group(load(name))
+    assert len(calls) <= 217
 
 
 def test_zero_ansatz_yields_empty_system():

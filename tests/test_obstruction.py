@@ -24,8 +24,12 @@ from dgalgebra import (
     make_decomposition,
 )
 from dgalgebra.classify import classify_homotopy_set
+from dgalgebra.cylinder import CylinderAlgebra
+from dgalgebra.errors import LemmaViolation
+from dgalgebra.obstruction import _obstruction_classes
 from dgalgebra.parser import parse_morphism, parse_presentation
 from dgalgebra import corpus
+from conftest import LINEAR_D
 from oracles import nullhomotopy_by_bar_search
 
 
@@ -494,6 +498,27 @@ def test_obstruction_reads_only_the_v0_bars(ex53, monkeypatch):
     compute_obstruction(f, f, Homotopy.constant(f), decomposition)
     extend_to_homotopy(f, f, Homotopy.constant(f), decomposition)
     assert seen == [sorted(decomposition.v0)] * 2
+
+
+@pytest.mark.parametrize(
+    "text, bars, w, message",
+    [
+        (corpus.read("ex53.dga"), ["x1"], "y1", "escapes"),
+        (LINEAR_D, ["a"], "b", "indecomposable"),
+    ],
+    ids=["bar-missing-on-the-reach", "indecomposable-differential"],
+)
+def test_obstruction_scan_falls_back_and_raises(text, bars, w, message, monkeypatch):
+    # y1 reaches x1 and x2 but only x1 has a bar; d(b) = a has one factor.
+    # Either way the correction is expanded and scanned term by term.
+    algebra = parse_presentation(text).presentation
+    expanded = []
+    correction = CylinderAlgebra.correction
+    monkeypatch.setattr(CylinderAlgebra, "correction", lambda c, v: expanded.append(v) or correction(c, v))
+    f = Morphism.identity(algebra)
+    with pytest.raises(LemmaViolation, match=message):
+        _obstruction_classes(f, f, {n: algebra.zero() for n in bars}, [w])
+    assert expanded == [w]
 
 
 def test_obstruction_rejects_a_nonzero_bar_on_v1(ex52):

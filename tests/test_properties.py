@@ -9,7 +9,7 @@ homotopies.  Every test asserts an exact identity.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dgalgebra import (
@@ -27,7 +27,16 @@ from dgalgebra import (
 from dgalgebra import algebra as algebra_module
 from dgalgebra import corpus
 from dgalgebra.algebra import extend_derivation, normalize_monomial, transfer_element
-from dgalgebra.classify import _linear_part_invertible, constraint_system, generic_ansatz
+from dgalgebra import classify as classify_module
+from dgalgebra.classify import (
+    ConstraintSystem,
+    Equation,
+    _linear_part_invertible,
+    _normalize_poly,
+    constraint_system,
+    eliminate_defined_unknowns,
+    generic_ansatz,
+)
 from dgalgebra.cohomology import (
     class_coordinates,
     cohomology_at_degree,
@@ -35,11 +44,13 @@ from dgalgebra.cohomology import (
     induced_map_is_isomorphism,
     weight_split_cohomology,
 )
-from dgalgebra.errors import NotACocycle, Obstructed, UnsupportedShape
+from dgalgebra.errors import LemmaViolation, NotACocycle, Obstructed, UnsupportedShape
 from dgalgebra.linalg import rref_solve
-from dgalgebra.obstruction import Filtration
+from dgalgebra.cylinder import CylinderAlgebra
+from dgalgebra.obstruction import Filtration, _obstruction_classes
 from dgalgebra.parser import parse_morphism, parse_presentation, print_morphism, print_presentation
-from conftest import load
+from dgalgebra.symbolic import Poly
+from conftest import LINEAR_D, load
 from oracles import (
     alpha_by_series,
     basis_by_search,
@@ -47,9 +58,11 @@ from oracles import (
     d_matrix_by_derivation,
     dense_representatives,
     derivative_by_leibniz,
+    eliminate_by_restart,
     normalize_by_transpositions,
     nullhomotopy_by_bar_search,
     product_by_transpositions,
+    substitute_by_expansion,
     weight_split_by_restriction,
 )
 from strategies import (
@@ -58,6 +71,7 @@ from strategies import (
     minimal_algebras,
     nonzero_rationals,
     points,
+    polys,
     rationals,
     symbolic_elements_of,
     weighted_two_stage_algebras,
@@ -393,6 +407,41 @@ def test_end_and_correction_images_match_the_series_oracle(text, draw):
 @settings(max_examples=40)
 def test_end_and_correction_images_match_the_series_oracle_on_drawn_algebras(algebra, draw):
     _assert_images_match_the_series_oracle(_homotopy_with_zero_bars(draw, algebra))
+
+
+@given(
+    st.one_of(
+        minimal_algebras(max_gens=4, max_degree=7),
+        st.sampled_from(CORPUS[:3] + [parse_presentation(LINEAR_D).presentation]),
+    ),
+    st.data(),
+)
+@settings(max_examples=80)
+def test_obstruction_scan_is_skipped_only_where_it_cannot_fail(algebra, draw):
+    # _obstruction_classes, one generator at a time with zero bars on drawn
+    # keys: wherever it did not expand the correction, the scan of the
+    # series oracle finds no indecomposable term and no factor outside the
+    # copies of the keys
+    names = algebra.generator_names()
+    keys = draw.draw(st.one_of(st.just(set()), st.just(set(names)), st.sets(st.sampled_from(names))))
+    cyl = build_cylinder(algebra)
+    allowed = set(keys) | {cyl.bar_name[n] for n in keys} | {cyl.hat_name[n] for n in keys}
+    f = Morphism.identity(algebra)
+    correction = CylinderAlgebra.correction
+    for w in names:
+        expanded = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CylinderAlgebra, "correction", lambda c, v: expanded.append(v) or correction(c, v))
+            try:
+                _obstruction_classes(f, f, {n: algebra.zero() for n in keys}, [w])
+            except LemmaViolation:
+                assert expanded == [w]
+        if expanded:
+            continue
+        series = alpha_by_series(cyl, w) - cyl.total.gen(w) - cyl.total.gen(cyl.hat_name[w])
+        for m in series.terms:
+            assert m.factor_count() >= 2
+            assert allowed.issuperset(m.generator_names())
 
 
 def _assert_exact(*elements):
@@ -734,6 +783,8 @@ def test_monomial_basis_is_the_sorted_search(algebra, n):
 
 
 @given(st.sampled_from(CORPUS), st.integers(min_value=0, max_value=250))
+@example(load("ex51.dga"), 197)  # sparse degrees of ex51, each built on an empty cache
+@example(load("ex51.dga"), 83)
 @settings(max_examples=40)
 def test_corpus_monomial_basis_is_the_sorted_search(algebra, n):
     assert [m.factors for m in algebra.monomial_basis(n)] == basis_by_search(algebra, n)
@@ -826,3 +877,99 @@ def test_printed_morphism_parses_back(source, target, draw):
     assert parsed.ok, parsed.diagnostics
     assert parsed.morphism == f
     assert print_morphism(parsed.morphism) == text
+
+
+# -- substitution and elimination in the structured solver --------------------
+
+
+@given(
+    polys(),
+    st.dictionaries(
+        st.sampled_from(("s", "t", "u")),  # u occurs in no drawn polynomial
+        st.one_of(polys(), st.integers(min_value=-3, max_value=3), rationals),
+    ),
+)
+@settings(max_examples=200)
+def test_substitute_matches_the_expansion_oracle(p, values):
+    before = dict(p.terms)
+    assert p.substitute(values) == substitute_by_expansion(p, values)
+    assert p.terms == before
+
+
+def _power_product(names):
+    return tuple(sorted((n, names.count(n)) for n in set(names)))
+
+
+@st.composite
+def definition_chains(draw):
+    """A system in which b0, b1, ... are defined one after another as
+    monomials (possibly 1) in a0, a1 and the earlier b's, with relations
+    among all of them, normalised as ``constraint_system`` leaves its
+    equations and put in a shuffled order.  A relation ``x + b + M``, where
+    ``b := r*M`` is a definition, defines ``x`` only once ``b`` is
+    substituted."""
+    names = ["a0", "a1"]
+    definitions = []
+    for k in range(draw(st.integers(min_value=1, max_value=5))):
+        monomial = _power_product(draw(st.lists(st.sampled_from(names), max_size=3)))
+        definitions.append((((f"b{k}", 1),), monomial))
+        names.append(f"b{k}")
+    found = [Poly({b: draw(nonzero_rationals), m: draw(nonzero_rationals)}) for b, m in definitions]
+    monomials = st.lists(st.sampled_from(names), min_size=1, max_size=3).map(_power_product)
+    relations = st.lists(st.tuples(monomials, nonzero_rationals), min_size=2, max_size=3).map(dict).map(Poly)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        b, m = draw(st.sampled_from(definitions))
+        merging = Poly({((draw(st.sampled_from(names)), 1),): 1, b: draw(nonzero_rationals), m: 1})
+        found.append(draw(st.one_of(st.just(merging), relations, polys(names=tuple(sorted(names)), max_terms=3))))
+    found = [_normalize_poly(p) for p in found if p]
+    return ConstraintSystem(None, [Equation(p, []) for p in draw(st.permutations(found))])
+
+
+def _eliminate_counting_substitutions(system):
+    """``eliminate_defined_unknowns(system)`` and its ``Poly.substitute``
+    calls as (position of the equation it came from, substituted names),
+    each checked to substitute only unknowns that occur; the results of
+    ``substitute`` and ``_normalize_poly`` inherit the position of their
+    input."""
+    origin = {id(eq.poly): k for k, eq in enumerate(system.equations)}
+    held, calls = [], []
+    substitute, normalize = Poly.substitute, classify_module._normalize_poly
+
+    def inherit(p, out):
+        held.append(out)  # kept alive, so that no id is reused
+        origin[id(out)] = origin.get(id(p))
+        return out
+
+    def counted(p, values):
+        assert p.variables().issuperset(values)
+        calls.append((origin.get(id(p)), tuple(sorted(values))))
+        return inherit(p, substitute(p, values))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Poly, "substitute", counted)
+        mp.setattr(classify_module, "_normalize_poly", lambda p: inherit(p, normalize(p)))
+        return eliminate_defined_unknowns(system), calls
+
+
+def _assert_elimination_matches_the_restart_scan(system):
+    (records, reduced, linear), calls = _eliminate_counting_substitutions(system)
+    want_records, want_reduced, want_linear = eliminate_by_restart(system)
+    assert [(u, str(r)) for u, r in records] == [(u, str(r)) for u, r in want_records]
+    assert [str(p) for p in reduced] == [str(p) for p in want_reduced]
+    assert [str(p) for p in linear] == [str(p) for p in want_linear]
+    # every call substitutes one record into an equation of the system that
+    # contains it, and no record goes into the same equation twice
+    assert all(k is not None and len(names) == 1 for k, names in calls)
+    assert len(set(calls)) == len(calls)
+
+
+@given(definition_chains())
+@settings(max_examples=150)
+def test_elimination_matches_the_restart_scan_on_definition_chains(system):
+    _assert_elimination_matches_the_restart_scan(system)
+
+
+@pytest.mark.parametrize("name", ["ex51.dga", "ex52.dga", "ex53.dga"])
+def test_elimination_matches_the_restart_scan_on_the_corpus(name):
+    algebra = load(name)
+    _assert_elimination_matches_the_restart_scan(constraint_system(generic_ansatz(algebra, algebra)))
