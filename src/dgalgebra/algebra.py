@@ -191,6 +191,7 @@ class AlgebraPresentation:
         "_hash",
         "_basis_cache",
         "_block_ends",
+        "_reach",
         "_sub_cache",
         "_cohomology_cache",
         "_d_matrix_cache",
@@ -217,6 +218,7 @@ class AlgebraPresentation:
         self._unit = Monomial((0,) * len(gens), 0, 0, self.generators)
         self._basis_cache = {0: [self._unit]}
         self._block_ends = {0: [0] * len(gens)}
+        self._reach = (-1, None)
         self.label = label
 
     # -- construction ------------------------------------------------------
@@ -372,16 +374,16 @@ class AlgebraPresentation:
 
     def monomial_basis(self, n: int) -> list:
         """All canonical monomials of total degree exactly ``n``, in the
-        order of :meth:`monomial_sort_key`.
+        order of :meth:`monomial_sort_key`; only degree ``n`` is built and
+        cached.
 
-        Each degree is built from the bases below it and cached: a monomial
-        whose first generator is ``g_i``, with exponent ``a``, is
-        ``g_i**a`` times a monomial of degree ``n - a*|g_i|`` in the later
-        generators.  Those form a suffix of the sorted lower basis, and
-        taking ``i`` and then ``a`` in increasing order yields the sorted
-        basis without a sort.  Each degree also keeps, for every ``i``, the
-        end of the block of monomials whose first generator is ``g_i`` or an
-        earlier one; the suffix above starts there.
+        A monomial whose first generator is ``g_i``, with exponent ``a``, is
+        ``g_i**a`` times a monomial of degree ``j = n - a*|g_i|`` in the
+        later generators, and taking ``i`` and then ``a`` in increasing
+        order yields the sorted basis without a sort.  If degree ``j`` is
+        cached, those form a suffix of its basis that starts at the end of
+        the block whose first generator is ``g_i`` or an earlier one (each
+        degree keeps these ends); else :meth:`_walk` enumerates them.
         """
         if n < 0:
             return []
@@ -391,28 +393,81 @@ class AlgebraPresentation:
             return cached
         ends = self._block_ends
         gens = self.generators
-        for k in range(1, n + 1):
-            if k in cache:
+        out = []
+        block_ends = [0] * len(gens)
+        for i, g in enumerate(gens):
+            if g.degree <= n:
+                bit = g.is_odd << i
+                for a in range(1, 2 if bit else n // g.degree + 1):
+                    j = n - a * g.degree
+                    lower = cache.get(j)
+                    if lower is None:
+                        self._walk((0,) * i + (a,), j, n, bit, out)
+                        continue
+                    start = ends[j][i]
+                    if start < len(lower):
+                        head = (0,) * i + (a,)
+                        out += [
+                            Monomial(head + m.exponents[i + 1 :], n, m.odd | bit, gens)
+                            for m in lower[start:]
+                        ]
+            block_ends[i] = len(out)
+        cache[n] = out
+        ends[n] = block_ends
+        return out
+
+    def _walk(self, head: tuple, rest: int, n: int, odd: int, out: list) -> None:
+        """Append to ``out`` the monomials ``head + e`` of degree ``n``, for
+        every exponent vector ``e`` of degree ``rest`` on the generators
+        after ``head``, in basis order: at each generator the exponents
+        1, 2, ... come first and 0 last.  Every branch is pruned to yield a
+        monomial, and the stack is explicit, so its depth does not grow
+        with the number of generators."""
+        reach = self._reachable(n)
+        if not reach[len(head)] >> rest & 1:
+            return
+        gens = self.generators
+        size = len(gens)
+        stack = [(head, rest, odd)]
+        while stack:
+            exps, r, odd = stack.pop()
+            p = len(exps)
+            if not r:
+                out.append(Monomial(exps + (0,) * (size - p), n, odd, gens))
                 continue
-            out = []
-            block_ends = [0] * len(gens)
-            for i, g in enumerate(gens):
-                if g.degree <= k:
-                    bit = g.is_odd << i
-                    for a in range(1, 2 if bit else k // g.degree + 1):
-                        j = k - a * g.degree
-                        lower = cache[j]
-                        start = ends[j][i]
-                        if start < len(lower):
-                            head = (0,) * i + (a,)
-                            out += [
-                                Monomial(head + m.exponents[i + 1 :], k, m.odd | bit, gens)
-                                for m in lower[start:]
-                            ]
-                block_ends[i] = len(out)
-            cache[k] = out
-            ends[k] = block_ends
-        return cache[n]
+            g = gens[p]
+            later = reach[p + 1]
+            top = r // g.degree
+            # pushed in reverse, so 0 is popped last
+            if later >> r & 1:
+                stack.append((exps + (0,), r, odd))
+            for e in range(min(top, 1) if g.is_odd else top, 0, -1):
+                if later >> (r - e * g.degree) & 1:
+                    stack.append((exps + (e,), r - e * g.degree, odd | g.is_odd << p))
+
+    def _reachable(self, n: int) -> list:
+        """``reach[p]`` has bit ``r`` set when some monomial of degree ``r``
+        uses only the generators from ``p`` on, for ``r <= n``.  Cached and
+        rebuilt at twice the last bound when outgrown, so asking every
+        degree up to ``N`` costs ``O(N)`` bitset work."""
+        bound, reach = self._reach
+        if n <= bound:
+            return reach
+        bound = max(n, 2 * bound)
+        mask = (1 << bound + 1) - 1
+        reach = [1]
+        for g in reversed(self.generators):
+            x = reach[-1]
+            shift = g.degree
+            while shift <= bound:
+                x |= x << shift & mask
+                if g.is_odd:
+                    break
+                shift <<= 1
+            reach.append(x)
+        reach.reverse()
+        self._reach = (bound, reach)
+        return reach
 
     def monomial_sort_key(self, m: Monomial):
         """Degree first; within a degree, at the first generator where two

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Every command reads presentation/morphism files, prints a human report, and
-with ``--json`` prints a deterministic machine report instead.  File
-arguments that do not exist on disk fall back to the bundled corpus, so
-``dgalgebra check ex51.dga`` works from anywhere.
+with ``--json`` prints a deterministic machine report instead.  A ``.dga``
+or ``.map`` file argument that does not exist on disk is read from the
+bundled corpus by its basename, so ``dgalgebra check ex51.dga`` works from
+anywhere.
 
 Exit codes: 0 success, 2 parse error, 3 validation failure, 4 precondition
 violation, 5 undetermined result or a constraint system outside the solver's
@@ -61,8 +62,10 @@ def _read_file(path: str) -> str:
             with open(path, "r", encoding="utf-8") as fh:
                 return fh.read()
         base = os.path.basename(path)
-        if base in corpus.names():
+        if base.endswith((".dga", ".map")):
             return corpus.read(base)
+    except FileNotFoundError:
+        pass
     except (OSError, UnicodeDecodeError) as exc:
         raise CliFailure(EXIT_PARSE, f"cannot read {path}: {exc}") from None
     raise CliFailure(EXIT_PARSE, f"cannot read {path}")

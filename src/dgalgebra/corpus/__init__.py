@@ -1,20 +1,19 @@
 """Bundled presentation and morphism files used by the test suite and docs."""
 
-from importlib import resources
+import os
+
+DIRECTORY = os.path.dirname(os.path.abspath(__file__))
 
 
 def names() -> list:
-    out = []
-    for entry in resources.files(__name__).iterdir():
-        if entry.name.endswith((".dga", ".map")):
-            out.append(entry.name)
-    return sorted(out)
+    return sorted(n for n in os.listdir(DIRECTORY) if n.endswith((".dga", ".map")))
 
 
 def read(name: str) -> str:
-    return resources.files(__name__).joinpath(name).read_text(encoding="utf-8")
+    """The text of the corpus file ``name``, read with one ``open``."""
+    with open(os.path.join(DIRECTORY, name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def path(name: str) -> str:
-    with resources.as_file(resources.files(__name__).joinpath(name)) as p:
-        return str(p)
+    return os.path.join(DIRECTORY, name)

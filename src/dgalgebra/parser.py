@@ -23,6 +23,10 @@ never a silent override: a second ``d`` line or image line for one
 generator, a repeated ``weight`` or ``stage`` option, and an unknown that
 is declared twice or named like a target generator.
 
+Expressions are evaluated in plain ``Element`` arithmetic, and in
+``SymbolicElement`` arithmetic (``Poly`` coefficients) only in a morphism
+file that declares unknowns.
+
 Each ``d`` line and morphism image line is parsed with its target degree
 as a bound, so hostile exponents such as ``(u+1)^3000`` cost work bounded
 by that degree: the parser stops at the first product or power with a term
@@ -36,14 +40,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log2
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .algebra import AlgebraPresentation, Element, Generator, Morphism, _power
 from .errors import DgaError
-from .symbolic import SymbolicElement
+from .symbolic import Poly, SymbolicElement
 
 MAX_NESTING = 100  # levels of parentheses and unary minus signs in an expression
 MAX_POWER_BITS = 4096  # coefficient bits of a power of a degree-0 base
+
+Value = Union[Element, SymbolicElement]  # what an expression evaluates to
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,7 @@ class Token:
     column: int
 
 
-_SYMBOLS = ("->", ":", "=", "+", "-", "*", "^", "(", ")", "/", ",")
+_DIGITS = "0123456789"  # not str.isdigit, which also accepts "²" and "٢"
 
 
 def _tokenize_line(text: str, line_no: int, diagnostics: List[Diagnostic]) -> List[Token]:
@@ -86,9 +92,9 @@ def _tokenize_line(text: str, line_no: int, diagnostics: List[Diagnostic]) -> Li
             tokens.append(Token("ident", text[i:j], line_no, col))
             i = j
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("int", text[i:j], line_no, col))
             i = j
@@ -108,11 +114,13 @@ def _tokenize_line(text: str, line_no: int, diagnostics: List[Diagnostic]) -> Li
 
 
 class _ExprParser:
-    """Recursive descent over one line's tokens, producing a SymbolicElement.
+    """Recursive descent over one line's tokens.
 
     Identifiers resolve to generators of the algebra or, when allowed, to
-    declared unknowns.  Using symbolic elements uniformly keeps one code
-    path; concrete expressions are extracted at the end.
+    declared unknowns.  Every value is built by ``lift`` from a plain
+    element: the identity when no unknowns are declared, so the line is
+    read in ``Element`` arithmetic, and ``SymbolicElement.from_element``
+    when some are, so it is read with ``Poly`` coefficients.
     """
 
     def __init__(self, tokens, algebra: AlgebraPresentation, unknowns, diagnostics, max_degree: int):
@@ -120,6 +128,7 @@ class _ExprParser:
         self.pos = 0
         self.algebra = algebra
         self.unknowns = unknowns
+        self.lift = SymbolicElement.from_element if unknowns else lambda x: x
         self.diagnostics = diagnostics
         self.max_degree = max_degree
         self.failed = False
@@ -139,7 +148,7 @@ class _ExprParser:
             self.diagnostics.append(Diagnostic(token.line, token.column, message))
         self.failed = True
 
-    def parse(self) -> Optional[SymbolicElement]:
+    def parse(self) -> Optional[Value]:
         try:
             value = self.expression()
         except _AboveDegree as stop:
@@ -149,14 +158,14 @@ class _ExprParser:
             self.error(t, f"unexpected {t.text!r} after expression")
         return None if self.failed else value
 
-    def product(self, a: SymbolicElement, b: SymbolicElement) -> SymbolicElement:
+    def product(self, a: Value, b: Value) -> Value:
         """``a * b``; stops the parse when it has a term above the bound."""
         value = a * b
         if any(m.degree > self.max_degree for m in value.terms):
             raise _AboveDegree(value)
         return value
 
-    def expression(self) -> SymbolicElement:
+    def expression(self) -> Value:
         negate = False
         t = self.peek()
         if t.kind == "symbol" and t.text in "+-":
@@ -174,7 +183,7 @@ class _ExprParser:
             else:
                 return value
 
-    def term(self) -> SymbolicElement:
+    def term(self) -> Value:
         value = self.power()
         while True:
             t = self.peek()
@@ -184,7 +193,7 @@ class _ExprParser:
             else:
                 return value
 
-    def power(self) -> SymbolicElement:
+    def power(self) -> Value:
         base = self.atom()
         t = self.peek()
         if t.kind == "symbol" and t.text == "^":
@@ -197,11 +206,10 @@ class _ExprParser:
             if _power_too_large(base, k):
                 self.error(e, f"power would exceed {MAX_POWER_BITS} bits of coefficients")
                 return base
-            one = SymbolicElement.from_element(self.algebra.one())
-            return _power(self.product, base, k, one)
+            return _power(self.product, base, k, self.lift(self.algebra.one()))
         return base
 
-    def atom(self) -> SymbolicElement:
+    def atom(self) -> Value:
         t = self.take()
         if t.kind == "int":
             value = int(t.text)
@@ -211,20 +219,20 @@ class _ExprParser:
                 den = self.take()
                 if den.kind != "int" or int(den.text) == 0:
                     self.error(den, "denominator must be a nonzero integer")
-                    return SymbolicElement.zero(self.algebra)
+                    return self.lift(self.algebra.zero())
                 value = Fraction(value, int(den.text))
-            return SymbolicElement.from_element(self.algebra.scalar(value))
+            return self.lift(self.algebra.scalar(value))
         if t.kind == "ident":
             if t.text in self.algebra._by_name:
-                return SymbolicElement.from_element(self.algebra.gen(t.text))
+                return self.lift(self.algebra.gen(t.text))
             if t.text in self.unknowns:
                 return SymbolicElement.unknown_times(t.text, self.algebra.one())
             self.error(t, f"unknown identifier {t.text!r}")
-            return SymbolicElement.zero(self.algebra)
+            return self.lift(self.algebra.zero())
         if t.kind == "symbol" and t.text in ("(", "-"):
             if self.depth == MAX_NESTING:
                 self.error(t, f"expression nested deeper than {MAX_NESTING} levels")
-                return SymbolicElement.zero(self.algebra)
+                return self.lift(self.algebra.zero())
             self.depth += 1
             if t.text == "-":
                 value = -self.atom()
@@ -236,10 +244,10 @@ class _ExprParser:
             self.depth -= 1
             return value
         self.error(t, f"expected a term, found {t.text!r}" if t.text else "unexpected end of line")
-        return SymbolicElement.zero(self.algebra)
+        return self.lift(self.algebra.zero())
 
 
-def _power_too_large(base: SymbolicElement, k: int) -> bool:
+def _power_too_large(base: Value, k: int) -> bool:
     """Whether the coefficients of ``base**k`` would take more than
     ``MAX_POWER_BITS`` bits in all, by an estimate for a base of degree 0;
     powers of a positive-degree base are stopped by the degree bound.
@@ -250,7 +258,9 @@ def _power_too_large(base: SymbolicElement, k: int) -> bool:
     """
     if not k or any(m.degree for m in base.terms):
         return False
-    coefficients = [c for poly in base.terms.values() for c in poly.terms.values()]
+    coefficients = [
+        c for v in base.terms.values() for c in (v.terms.values() if isinstance(v, Poly) else (v,))
+    ]
     if not coefficients:
         return False
     t = len(coefficients)
@@ -261,19 +271,9 @@ def _power_too_large(base: SymbolicElement, k: int) -> bool:
 class _AboveDegree(Exception):
     """Stops an expression parse at a product with a term above the bound."""
 
-    def __init__(self, value: SymbolicElement):
+    def __init__(self, value: Value):
         super().__init__("term above the expected degree")
         self.value = value
-
-
-def _concrete(sym: SymbolicElement) -> Optional[Element]:
-    """Extract a plain element; None when unknowns are present."""
-    terms = {}
-    for m, p in sym.terms.items():
-        if not p.is_constant():
-            return None
-        terms[m] = p.constant_value()
-    return sym.algebra.element(terms)
 
 
 @dataclass
@@ -351,11 +351,10 @@ def parse_presentation(text: str) -> PresentationParse:
                 Diagnostic(line_no, col, f"differential for unknown generator {gen_name!r}")
             )
             continue
-        parser = _ExprParser(tokens, algebra, set(), diagnostics, algebra.degree_of(gen_name) + 1)
-        sym = parser.parse()
-        if sym is None:
-            continue
-        algebra._set_differential(gen_name, _concrete(sym))
+        parser = _ExprParser(tokens, algebra, (), diagnostics, algebra.degree_of(gen_name) + 1)
+        image = parser.parse()
+        if image is not None:
+            algebra._set_differential(gen_name, algebra.element(image.terms))
     if diagnostics:
         return PresentationParse(None, diagnostics)
     return PresentationParse(algebra.seal(), diagnostics)
@@ -496,19 +495,18 @@ def parse_morphism(
                 Diagnostic(line_no, head.column, "expected 'morphism', 'unknown' or '<generator> = <expression>'")
             )
 
-    symbolic_images: Dict[str, SymbolicElement] = {}
+    images: Dict[str, Value] = {}
     for gen_name, (tokens, line_no, col) in image_lines.items():
         if gen_name not in source._by_name:
             diagnostics.append(
                 Diagnostic(line_no, col, f"image for unknown source generator {gen_name!r}")
             )
             continue
-        parser = _ExprParser(tokens, target, set(unknowns), diagnostics, source.degree_of(gen_name))
-        sym = parser.parse()
-        if sym is None:
-            continue
         expected = source.degree_of(gen_name)
-        for m in sym.terms:
+        image = _ExprParser(tokens, target, set(unknowns), diagnostics, expected).parse()
+        if image is None:
+            continue
+        for m in image.terms:
             if m.degree != expected:
                 diagnostics.append(
                     Diagnostic(
@@ -517,14 +515,12 @@ def parse_morphism(
                         f"image of {gen_name} has a degree-{m.degree} term; expected degree {expected}",
                     )
                 )
-        symbolic_images[gen_name] = sym
+        images[gen_name] = image if unknowns else target.element(image.terms)
 
     morphism = None
     if not diagnostics and not unknowns:
-        images = {}
-        for gen_name, sym in symbolic_images.items():
-            images[gen_name] = _concrete(sym)
         morphism = Morphism(source, target, images)
+    symbolic_images = images if unknowns else {n: SymbolicElement.from_element(x) for n, x in images.items()}
     return MorphismParse(
         morphism, name, src_name, tgt_name, unknowns, symbolic_images, diagnostics
     )

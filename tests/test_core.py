@@ -16,7 +16,7 @@ from dgalgebra import (
     normalize_monomial,
     validate_presentation,
 )
-from dgalgebra.parser import parse_morphism
+from dgalgebra.parser import parse_morphism, parse_presentation
 from dgalgebra import corpus
 
 
@@ -155,6 +155,21 @@ def test_monomial_basis_published_lists(ex52, ex53):
 def test_monomial_basis_degree_zero(ex51):
     basis = ex51.monomial_basis(0)
     assert len(basis) == 1 and basis[0].is_unit()
+
+
+def test_monomial_basis_builds_only_the_degrees_asked():
+    ex51 = parse_presentation(corpus.read("ex51.dga")).presentation  # fresh caches
+    degrees = [g.degree for g in ex51.generators]
+    for n in degrees:
+        ex51.monomial_basis(n)
+    assert sorted(ex51._basis_cache) == [0, *degrees]
+
+
+def test_monomial_basis_of_many_generators_is_walked_without_recursion():
+    algebra = AlgebraPresentation.build([(f"u{i}", 1) for i in range(1200)])
+    basis = algebra.monomial_basis(1200)
+    assert len(basis) == 1
+    assert basis[0].exponents == (1,) * 1200 and basis[0].odd == (1 << 1200) - 1
 
 
 def test_monomial_basis_spans_and_no_duplicates(ex52):

@@ -11,6 +11,7 @@ from dgalgebra.cli import main as cli_main
 from dgalgebra.parser import (
     MAX_NESTING,
     MAX_POWER_BITS,
+    Diagnostic,
     element_to_json,
     parse_morphism,
     parse_presentation,
@@ -86,6 +87,25 @@ def test_unknown_identifier_diagnostic():
     result = parse_presentation("algebra a\ngenerator u : 2\nd u = w * w\n")
     assert result.presentation is None
     assert any("unknown identifier" in d.message for d in result.diagnostics)
+
+
+@pytest.mark.parametrize(
+    "line, column, digit",
+    [("generator v : \u00b2", 15, "\u00b2"), ("d u = u^\u00b2", 9, "\u00b2"), ("d u = \u0662*u^2", 7, "\u0662")],
+)
+def test_non_ascii_digit_is_an_unexpected_character(line, column, digit):
+    """Only ASCII 0-9 make an integer: a superscript two once raised
+    ValueError from int(), and an Arabic-Indic two was read as 2."""
+    result = parse_presentation(f"generator u : 2\n{line}\n")
+    assert result.presentation is None
+    assert result.diagnostics[0] == Diagnostic(2, column, f"unexpected character {digit!r}")
+
+
+@pytest.mark.parametrize("image, column, digit", [("x1^\u00b2", 9, "\u00b2"), ("\u0662*x1", 6, "\u0662")])
+def test_non_ascii_digit_in_a_morphism_is_an_unexpected_character(ex53, image, column, digit):
+    result = parse_morphism(f"morphism m : ex53 -> ex53\nx1 = {image}\n", ex53, ex53)
+    assert result.morphism is None
+    assert result.diagnostics[0] == Diagnostic(2, column, f"unexpected character {digit!r}")
 
 
 def test_morphism_parse_and_print(ex53):
@@ -183,6 +203,17 @@ def test_cli_huge_power_stops_at_the_degree_bound(tmp_path, image):
     assert "v: degree-mismatch: d(v) is not homogeneous of degree 4" in proc.stdout
 
 
+@pytest.mark.parametrize("image", ["u^100000000", "(u+1)^3000"])
+def test_cli_huge_power_in_a_morphism_with_an_unknown_stops_at_the_degree_bound(tmp_path, image):
+    """The same bound holds for an image line read with Poly coefficients."""
+    (tmp_path / "s.dga").write_text("algebra s\ngenerator v : 4\n")
+    (tmp_path / "t.dga").write_text("algebra t\ngenerator u : 2\n")
+    (tmp_path / "m.map").write_text(f"morphism m : s -> t\nunknown a\nv = {image}\n")
+    proc = run_cli_process("nullhomotopic", *(str(tmp_path / n) for n in ("s.dga", "t.dga", "m.map")), timeout=30)
+    assert proc.returncode == 2
+    assert "image of v has a degree-8 term; expected degree 4" in proc.stderr
+
+
 def test_cli_huge_power_of_one_is_read_by_squaring(tmp_path):
     """A power of a degree-0 base is not stopped by the degree bound; read
     one product at a time, 1^100000000 would take about 20 minutes."""
@@ -202,20 +233,38 @@ def test_cli_scalar_power_above_the_bit_bound_is_a_parse_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def _read_image(ring, expr):
+    """``expr`` read as the degree-4 value of one line: in Element
+    arithmetic as a presentation's d line, or in SymbolicElement arithmetic
+    as an image line of a morphism file that declares an unknown.  Returns
+    the diagnostics and the value as an element (None on a diagnostic)."""
+    if ring == "element":
+        parsed = parse_presentation(f"generator u : 2\ngenerator v : 3\nd v = {expr}\n")
+        return parsed.diagnostics, parsed.presentation and parsed.presentation.differential_image("v")
+    source = parse_presentation("generator v : 4\n").presentation
+    target = parse_presentation("generator u : 2\n").presentation
+    parsed = parse_morphism(f"unknown a\nv = {expr}\n", source, target)
+    image = parsed.symbolic_images.get("v")
+    return parsed.diagnostics, None if parsed.diagnostics else image.evaluate({})
+
+
+RINGS = ("element", "symbolic")
+
+
 def test_scalar_power_bit_bound():
-    text = "generator u : 2\ngenerator v : 3\nd v = {} * u^2\n"
-    for power, ok in (
-        (f"2^{MAX_POWER_BITS}", True),
-        (f"2^{MAX_POWER_BITS + 1}", False),
-        (f"(1/2)^{MAX_POWER_BITS + 1}", False),
-        (f"(2^{MAX_POWER_BITS // 2})^2", True),
-        (f"(2^{MAX_POWER_BITS // 2})^3", False),
-        ("(-1)^100000000", True),
-        ("0^100000000", True),
-    ):
-        assert parse_presentation(text.format(power)).ok is ok, power
-    parsed = parse_presentation(text.format(f"3^{MAX_POWER_BITS // 2}"))
-    assert parsed.presentation.differential_image("v").terms.popitem()[1] == 3 ** (MAX_POWER_BITS // 2)
+    for ring in RINGS:
+        for power, ok in (
+            (f"2^{MAX_POWER_BITS}", True),
+            (f"2^{MAX_POWER_BITS + 1}", False),
+            (f"(1/2)^{MAX_POWER_BITS + 1}", False),
+            (f"(2^{MAX_POWER_BITS // 2})^2", True),
+            (f"(2^{MAX_POWER_BITS // 2})^3", False),
+            ("(-1)^100000000", True),
+            ("0^100000000", True),
+        ):
+            assert (_read_image(ring, f"{power} * u^2")[0] == []) is ok, (ring, power)
+        _, image = _read_image(ring, f"3^{MAX_POWER_BITS // 2} * u^2")
+        assert image.terms.popitem()[1] == 3 ** (MAX_POWER_BITS // 2)
 
 
 def test_power_of_an_unknown_polynomial_is_bounded(ex53):
@@ -261,11 +310,11 @@ def test_cli_deeply_nested_expression_is_a_parse_error(tmp_path):
 
 def test_expression_nesting_limit():
     # after "0 +" every "(" and every "-" opens one nesting level
-    text = "generator u : 2\ngenerator v : 3\nd v = 0 + {}u^2{}\n"
-    for depth, ok in ((MAX_NESTING, True), (MAX_NESTING + 1, False)):
-        for opening, closing in (("(", ")"), ("- ", "")):
-            parsed = parse_presentation(text.format(opening * depth, closing * depth))
-            assert parsed.ok is ok, (depth, opening)
+    for ring in RINGS:
+        for depth, ok in ((MAX_NESTING, True), (MAX_NESTING + 1, False)):
+            for opening, closing in (("(", ")"), ("- ", "")):
+                diagnostics, _ = _read_image(ring, f"0 + {opening * depth}u^2{closing * depth}")
+                assert (diagnostics == []) is ok, (ring, depth, opening)
 
 
 def test_cli_non_utf8_file_is_a_read_error(tmp_path):
@@ -275,6 +324,33 @@ def test_cli_non_utf8_file_is_a_read_error(tmp_path):
     assert proc.returncode == 2
     assert "cannot read" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text", ["generator u : \u00b2\n", "generator u : 2\ngenerator v : 5\nd v = \u0662*u^3\n"])
+def test_cli_non_ascii_digit_is_a_parse_error(tmp_path, text):
+    path = tmp_path / "digits.dga"
+    path.write_text(text, encoding="utf-8")
+    proc = run_cli_process("check", str(path))
+    assert proc.returncode == 2
+    assert "unexpected character" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_bare_name_outside_the_corpus_is_a_read_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli("check", "nosuch.dga")
+    assert code == 2
+    assert err.strip() == "cannot read nosuch.dga"
+
+
+@pytest.mark.parametrize("name", ["ex51", "__init__.py"])
+def test_cli_only_dga_and_map_names_fall_back_to_the_corpus(tmp_path, monkeypatch, name):
+    """ex51.dga and __init__.py both lie in the corpus directory; neither
+    basename here ends in .dga or .map."""
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli("check", name)
+    assert code == 2
+    assert err.strip() == f"cannot read {name}"
 
 
 def test_cli_selfmaps_json():

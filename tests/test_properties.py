@@ -790,6 +790,39 @@ def test_corpus_monomial_basis_is_the_sorted_search(algebra, n):
     assert [m.factors for m in algebra.monomial_basis(n)] == basis_by_search(algebra, n)
 
 
+# Degree sequences asked of a fresh presentation: a cold high degree first
+# (every lower degree walked), descending, ascending (every lower degree
+# cached), even degrees before odd ones (walked and cached lower degrees in
+# one basis) and repeated (walks that outgrow the reachability table, with
+# cache hits between them).
+BASIS_QUERY_ORDERS = {
+    "cold_high_first": lambda top: [top, *range(top)],
+    "descending": lambda top: list(range(top, -1, -1)),
+    "ascending": lambda top: list(range(top + 1)),
+    "evens_then_odds": lambda top: [*range(0, top + 1, 2), *range(1, top + 1, 2)],
+    "repeated": lambda top: [top // 2, top, top // 2, top // 2 + 1, 0, top],
+}
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=6),
+    st.sampled_from(sorted(BASIS_QUERY_ORDERS)),
+    st.integers(min_value=0, max_value=12),
+)
+@example([2, 2], "descending", 4)  # g0*g1 walked, g0^2 sliced from degree 0
+@settings(max_examples=120)
+def test_monomial_basis_is_the_sorted_search_in_any_query_order(degrees, order, top):
+    algebra = AlgebraPresentation.build([(f"g{i}", d) for i, d in enumerate(degrees)])
+    expected = {}
+    for n in BASIS_QUERY_ORDERS[order](top):
+        if n not in expected:
+            expected[n] = basis_by_search(algebra, n)
+        basis = algebra.monomial_basis(n)
+        assert [m.factors for m in basis] == expected[n], n
+        for m in basis:
+            assert m.odd == sum(1 << i for i, g in enumerate(algebra.generators) if g.is_odd and m.exponents[i])
+
+
 @given(MINIMAL_OR_CORPUS, st.data())
 @settings(max_examples=60)
 def test_d_of_each_basis_monomial_matches_the_leibniz_rule(algebra, draw):
