@@ -940,7 +940,8 @@ class Morphism:
     """A degree-0 algebra map determined by generator images.
 
     The chain-map property is computed on demand and cached, never taken on
-    trust from input files.
+    trust from input files; only identities and composites of verified
+    chain maps start verified, because they are chain maps by construction.
     """
 
     __slots__ = ("source", "target", "images", "_chain_report")
@@ -974,7 +975,10 @@ class Morphism:
 
     @classmethod
     def identity(cls, algebra: AlgebraPresentation) -> "Morphism":
-        return cls(algebra, algebra, {g.name: algebra.gen(g.name) for g in algebra.generators})
+        """The identity, a chain map by definition, so it starts verified."""
+        identity = cls(algebra, algebra, {g.name: algebra.gen(g.name) for g in algebra.generators})
+        identity._chain_report = []
+        return identity
 
     @classmethod
     def zero_map(cls, source, target) -> "Morphism":
@@ -1025,9 +1029,17 @@ class Morphism:
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
-    """The composite ``f . g`` (apply ``g`` first)."""
+    """The composite ``f . g`` (apply ``g`` first).
+
+    A composite of chain maps is a chain map, d(f g) = f d g = f g d, so
+    when both factors are verified the composite starts verified; otherwise
+    it is checked on demand like any morphism.
+    """
     if g.target != f.source:
         raise PresentationMismatch("morphisms are not composable")
-    return Morphism(
+    product = Morphism(
         g.source, f.target, {name: f.apply(img) for name, img in g.images.items()}
     )
+    if f.verified and g.verified:
+        product._chain_report = []
+    return product

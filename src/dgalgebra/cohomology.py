@@ -36,6 +36,15 @@ def _assemble(algebra: AlgebraPresentation, n: int) -> RationalMatrix:
     return matrix
 
 
+def _d_matrix(algebra: AlgebraPresentation, n: int) -> RationalMatrix:
+    """The cached degree-n d-matrix itself, assembled on first use; callers
+    must not mutate it (``rref``, ``rref_solve`` and ``transpose`` do not)."""
+    full = algebra._d_matrix_cache.get(n)
+    if full is None:
+        full = algebra._d_matrix_cache[n] = _assemble(algebra, n)
+    return full
+
+
 def differential_matrix(algebra: AlgebraPresentation, n: int) -> RationalMatrix:
     """Matrix of d restricted to degree n, columns indexed by the degree-n
     monomial basis and rows by the degree-(n+1) basis.
@@ -43,18 +52,21 @@ def differential_matrix(algebra: AlgebraPresentation, n: int) -> RationalMatrix:
     The full matrix is assembled once per presentation and degree; every
     call returns a fresh copy.
     """
-    full = algebra._d_matrix_cache.get(n)
-    if full is None:
-        full = algebra._d_matrix_cache[n] = _assemble(algebra, n)
+    full = _d_matrix(algebra, n)
     matrix = RationalMatrix(full.rows, full.cols)
     matrix.entries = dict(full.entries)
     return matrix
 
 
 def _echelon(matrix: RationalMatrix) -> Tuple[List[Dict[int, Fraction]], List[int]]:
-    """The sparse reduced echelon rows of ``matrix`` and their pivots."""
+    """The sparse reduced echelon rows of ``matrix`` and their pivots, with
+    an ``int`` for each integral entry, so that reducing modulo the rows
+    pays ``Fraction`` arithmetic only where a denominator exists."""
     reduced, pivots = rref(matrix)
-    return reduced.sparse_rows()[: len(pivots)], pivots
+    rows: List[Dict[int, Fraction]] = [{} for _ in pivots]
+    for (i, j), v in reduced.entries.items():
+        rows[i][j] = v.numerator if v.denominator == 1 else v
+    return rows, pivots
 
 
 @dataclass
@@ -63,7 +75,8 @@ class DegreeCohomology:
     degree: int
     dimension: int
     representatives: List[Element]
-    # sparse echelon rows and pivots over the degree-n basis index
+    # sparse echelon rows (from ``_echelon``) and pivots over the degree-n
+    # basis index
     _boundaries: Tuple[List[Dict[int, Fraction]], List[int]] = field(repr=False)
     _rep_rows: Tuple[List[Dict[int, Fraction]], List[int]] = field(repr=False)
 
@@ -73,9 +86,12 @@ def cohomology_at_degree(algebra: AlgebraPresentation, n: int) -> DegreeCohomolo
     and degree.
 
     Z^n is read off the echelon rows of d_n and B^n is the echelon form of
-    the transposed d-matrix of degree n - 1; the representatives are the
-    echelon rows of the kernel vectors reduced modulo B^n.  Both echelon
-    forms are kept for ``class_coordinates``.
+    the transposed d-matrix of degree n - 1, both eliminated from the
+    cached d-matrices without a copy; the representatives are the echelon
+    rows of the kernel vectors reduced modulo B^n.  Each kernel vector
+    meets only the B^n rows at the pivots in its support
+    (``reduce_mod_rows``).  Both echelon forms are kept for
+    ``class_coordinates``.
     """
     cached = algebra._cohomology_cache.get(n)
     if cached is not None:
@@ -83,8 +99,8 @@ def cohomology_at_degree(algebra: AlgebraPresentation, n: int) -> DegreeCohomolo
     basis = algebra.monomial_basis(n)
     boundaries = rep_rows = ([], [])
     if basis:
-        kernel = kernel_rows(*_echelon(differential_matrix(algebra, n)), len(basis))
-        boundaries = _echelon(differential_matrix(algebra, n - 1).transpose())
+        kernel = kernel_rows(*_echelon(_d_matrix(algebra, n)), len(basis))
+        boundaries = _echelon(_d_matrix(algebra, n - 1).transpose())
         reduced = [red for red in (reduce_mod_rows(vec, *boundaries) for vec in kernel) if red]
         if reduced:
             matrix = RationalMatrix(len(reduced), len(basis))
@@ -111,8 +127,8 @@ def is_coboundary(algebra: AlgebraPresentation, z: Element) -> Optional[Element]
     lower = algebra.monomial_basis(n - 1)
     if not lower:
         return None
-    d_matrix = differential_matrix(algebra, n - 1)
-    particular, _ = rref_solve(d_matrix, [z.terms.get(m, 0) for m in algebra.monomial_basis(n)])
+    rhs = [z.terms.get(m, 0) for m in algebra.monomial_basis(n)]
+    particular, _ = rref_solve(_d_matrix(algebra, n - 1), rhs)
     if particular is None:
         return None
     witness = algebra.element({m: c for m, c in zip(lower, particular) if c})

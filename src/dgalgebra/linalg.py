@@ -11,6 +11,7 @@ gcd work of rational arithmetic at every step.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -269,13 +270,24 @@ def reduce_mod_rows(
     vec: Dict[int, Fraction], rows: List[Dict[int, Fraction]], pivots: List[int]
 ) -> Dict[int, Fraction]:
     """Reduce the sparse vector ``vec`` (``{column: value}``, ints or
-    Fractions) modulo the row space of sparse reduced echelon rows with the
-    given pivots; the result is a new sparse vector."""
+    Fractions) modulo the row space of sparse rows with the given ascending
+    pivots; the result is a new sparse vector.
+
+    The rows must be *reduced* echelon rows, as ``rref`` returns them: each
+    is 1 at its pivot and 0 at every other pivot.  Then subtracting one row
+    leaves the entries at the other pivots alone, so the coefficient of the
+    row at pivot p is ``vec[p]``, and only the pivots in the support of
+    ``vec`` (found by bisection) are subtracted, in ascending order.
+    """
+    hits = []
+    for c, f in vec.items():
+        i = bisect_left(pivots, c)
+        if i < len(pivots) and pivots[i] == c and f:
+            hits.append((i, f))
+    hits.sort()
     v = dict(vec)
-    for row, p in zip(rows, pivots):
-        f = v.get(p)
-        if f:
-            _subtract(v, f, row)
+    for i, f in hits:
+        _subtract(v, f, rows[i])
     return v
 
 

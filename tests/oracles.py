@@ -257,6 +257,24 @@ def dense_reduce_mod_rows(vec, rows, pivots):
     return v
 
 
+def reduce_by_scan(vec, rows, pivots):
+    """``vec`` reduced modulo sparse reduced echelon rows by walking every
+    row in pivot order and subtracting it wherever the running vector is
+    nonzero at its pivot; a new sparse dict, in the key order that this
+    sequence of in-place subtractions leaves."""
+    v = dict(vec)
+    for row, p in zip(rows, pivots):
+        f = v.get(p)
+        if f:
+            for j, x in row.items():
+                y = v.get(j, 0) - f * x
+                if y:
+                    v[j] = y
+                else:
+                    del v[j]
+    return v
+
+
 def d_matrix_by_derivation(algebra, n):
     """The degree-n d-matrix, one ``algebra.d`` call per basis monomial."""
     from dgalgebra.linalg import RationalMatrix

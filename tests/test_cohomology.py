@@ -23,7 +23,7 @@ from dgalgebra import cohomology
 from dgalgebra.cohomology import class_coordinates, differential_matrix
 from dgalgebra.parser import parse_morphism, parse_presentation
 from dgalgebra import corpus
-from oracles import dense_rank
+from oracles import class_coordinates_by_solve, dense_rank, dense_representatives
 
 
 def poly_on_one_cocycle():
@@ -59,6 +59,25 @@ def test_dimension_matches_rank_computation(ex52):
         rank_n = dense_rank(d_n.dense_rows()) if dim_n else 0
         rank_lower = dense_rank(d_lower.dense_rows())
         assert result.dimension == (dim_n - rank_n) - rank_lower
+
+
+def test_deep_degrees_of_the_probe_shape_match_dense_oracles():
+    # degree-2 a, b, c, e; degree-3 x, y with d x = a*c, d y = b*c; degree-4 z
+    # with d z = b*x - a*y.  B^12 has 68 echelon rows, far more than the
+    # random presentations of the property tests reach.
+    A = AlgebraPresentation.build(
+        [("a", 2), ("b", 2), ("c", 2), ("e", 2), ("x", 3), ("y", 3), ("z", 4)],
+        lambda g: {"x": g.a * g.c, "y": g.b * g.c, "z": g.b * g.x - g.a * g.y},
+        label="probe",
+    )
+    assert len(cohomology_at_degree(A, 12)._boundaries[1]) == 68
+    for n in range(13):
+        reps = cohomology_at_degree(A, n).representatives
+        assert reps == dense_representatives(A, n)
+        boundary = A.d(A.element({m: k + 1 for k, m in enumerate(A.monomial_basis(n - 1)[:5])}))
+        for coeffs in ([0] * len(reps), [1] * len(reps), [Fraction((-2) ** k, k + 1) for k in range(len(reps))]):
+            x = sum((c * r for c, r in zip(coeffs, reps)), boundary)
+            assert class_coordinates(A, x, n) == class_coordinates_by_solve(A, x, n)
 
 
 def test_differential_matrix_is_assembled_once_per_degree(monkeypatch):

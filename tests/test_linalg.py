@@ -29,6 +29,7 @@ from oracles import (
     dense_solve,
     int_det,
     mat_mul,
+    reduce_by_scan,
 )
 
 
@@ -119,6 +120,31 @@ def test_elimination_matches_dense_reference_exactly(system):
     assert all(reduced.values())
     dense = [reduced.get(j, Fraction(0)) for j in range(n_cols)]
     assert dense == dense_reduce_mod_rows(vec, basis, pivots)
+
+
+@st.composite
+def reductions(draw):
+    """``(rows, pivots, vec)``: the reduced echelon rows of up to 24 sparse
+    rows over up to 40 columns, so that there are many pivots, and a sparse
+    vector whose support lies off the pivots, among them, or partly in both."""
+    n_cols = draw(st.integers(min_value=1, max_value=40))
+    entry = st.sampled_from([Fraction(k, q) for k in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3)])
+    sparse = draw(st.lists(st.dictionaries(st.integers(0, n_cols - 1), entry, min_size=1, max_size=4), max_size=24))
+    basis, pivots = row_space_basis([[row.get(j, 0) for j in range(n_cols)] for row in sparse])
+    free = [j for j in range(n_cols) if j not in set(pivots)]
+    pool = draw(st.sampled_from([free, pivots, list(range(n_cols))]))
+    support = draw(st.lists(st.sampled_from(pool), max_size=8, unique=True)) if pool else []
+    vec = {j: draw(entry) for j in support}
+    return [{j: v for j, v in enumerate(row) if v} for row in basis], pivots, vec
+
+
+@given(reductions())
+@settings(max_examples=200)
+def test_support_driven_reduction_matches_the_every_row_scan(reduction):
+    rows, pivots, vec = reduction
+    reduced = reduce_mod_rows(vec, rows, pivots)
+    assert list(reduced.items()) == list(reduce_by_scan(vec, rows, pivots).items())
+    assert not any(p in reduced for p in pivots)
 
 
 # entries up to 2^80 over denominators up to 10^6, so that one row mixes

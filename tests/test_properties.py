@@ -18,6 +18,7 @@ from dgalgebra import (
     Morphism,
     build_cylinder,
     classify_homotopy_set,
+    compose,
     compute_obstruction,
     decide_nullhomotopic,
     extend_to_homotopy,
@@ -286,6 +287,41 @@ def test_morphism_multiplicative_and_chain(source, target, draw):
     y = draw.draw(elements_of(source, max_degree=8))
     assert f.apply(x * y) == f.apply(x) * f.apply(y)
     assert f.apply(source.d(x)) == target.d(f.apply(x))
+
+
+def random_images(draw, source, target):
+    """An algebra map with random images in the generators' degrees; a
+    chain map only by chance."""
+    images = {}
+    for g in source.generators:
+        basis = target.monomial_basis(g.degree)
+        coeffs = draw.draw(st.lists(rationals, min_size=len(basis), max_size=len(basis)))
+        images[g.name] = target.element({m: c for m, c in zip(basis, coeffs) if c})
+    return Morphism(source, target, images)
+
+
+@given(
+    st.one_of(
+        st.tuples(*[minimal_algebras(max_gens=3, max_degree=6)] * 3),
+        st.sampled_from(CORPUS).map(lambda algebra: (algebra,) * 3),
+    ),
+    st.data(),
+)
+@settings(max_examples=40)
+def test_only_composites_of_two_verified_chain_maps_start_verified(algebras, draw):
+    """compose(f, g) of verified chain maps is verified without a check; a
+    composite with a factor that is not a chain map is checked like any
+    morphism.  Either way its verdict is the chain report of a freshly
+    built equal morphism."""
+    a, b, c = algebras
+    f, g = random_chain_map(draw, b, c), random_chain_map(draw, a, b)
+    wild_f, wild_g = random_images(draw, b, c), random_images(draw, a, b)
+    identity = Morphism.identity(b)
+    assert identity._chain_report == [] == Morphism(b, b, identity.images).chain_report()
+    assert compose(f, g)._chain_report == []
+    for left, right in [(f, g), (f, wild_g), (wild_f, g), (identity, wild_g), (wild_f, identity)]:
+        product = compose(left, right)
+        assert product.chain_report() == Morphism(product.source, product.target, product.images).chain_report()
 
 
 @given(minimal_algebras(max_gens=3, max_degree=6), st.data())

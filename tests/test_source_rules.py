@@ -94,6 +94,19 @@ def test_eliminations_go_through_public_linalg_names():
     assert found == []
 
 
+def test_the_library_reads_cached_d_matrices_without_copies():
+    """``differential_matrix`` copies the cached d-matrix for outside
+    callers; no code in ``src/dgalgebra`` calls it, so the library's own
+    eliminations read the cache without that copy."""
+    found = [
+        where
+        for where, node in _nodes()
+        if isinstance(node, ast.Call)
+        and "differential_matrix" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert found == []
+
+
 def _public_definitions():
     """``(file, name)`` of every public module-level or class-level
     function, method and class."""
