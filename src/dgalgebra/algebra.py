@@ -936,6 +936,27 @@ def require_graded(*algebras: AlgebraPresentation) -> None:
 # -- morphisms -------------------------------------------------------------------
 
 
+def _checked_images(
+    source: AlgebraPresentation, target: AlgebraPresentation, images: Mapping[str, Element], shift: int, label: str
+) -> dict:
+    """``images`` on every generator g of ``source``, zero where unset; each
+    must lie in ``target`` and be homogeneous of degree |g| + ``shift``, and
+    every name must be a generator of ``source``."""
+    out = {}
+    for g in source.generators:
+        img = images.get(g.name)
+        if img is None:
+            img = target.zero()
+        if img.algebra is not target and img.algebra != target:
+            raise PresentationMismatch(f"{label} of {g.name} is not in the target")
+        if not img.is_zero() and not img.is_homogeneous(g.degree + shift):
+            raise DegreeMismatch(f"{label} of {g.name} must be homogeneous of degree {g.degree + shift}")
+        out[g.name] = img
+    for name in images:
+        source.generator(name)
+    return out
+
+
 class Morphism:
     """A degree-0 algebra map determined by generator images.
 
@@ -954,23 +975,7 @@ class Morphism:
     ):
         self.source = source
         self.target = target
-        imgs = {}
-        for g in source.generators:
-            img = images.get(g.name)
-            if img is None:
-                img = target.zero()
-            if img.algebra is not target and img.algebra != target:
-                raise PresentationMismatch(
-                    f"image of {g.name} does not live in the target"
-                )
-            if not img.is_homogeneous(g.degree) and not img.is_zero():
-                raise DegreeMismatch(
-                    f"image of {g.name} must be homogeneous of degree {g.degree}"
-                )
-            imgs[g.name] = img
-        for name in images:
-            source.generator(name)
-        self.images = imgs
+        self.images = _checked_images(source, target, images, 0, "image")
         self._chain_report = None
 
     @classmethod

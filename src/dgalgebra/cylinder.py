@@ -39,7 +39,14 @@ decorations only pile up and every plain factor stays in the reach.  A
 homotopy H sends ``bar u`` to its bar image h(u) and ``hat u`` to
 ``d(h(u))``, so when h vanishes on the reach of v, H kills the whole
 correction and ``H(alpha(v)) = f(v) + d(h(v))``; ``Homotopy.correction_image``
-then returns zero without expanding the series.
+then returns zero without expanding the series.  No step lowers a term's
+factor count, so the correction is decomposable exactly when d(v) is: a
+linear term u of d(v) leaves the one-factor term ``bar u``, and every other
+term has two or more factors.  The obstruction's lemma check therefore reads
+the reach and d(v) alone, and only ``correction_image`` expands the series.
+
+Cylinders need every base generator in degree >= 2, so that each barred
+copy has a positive degree.
 """
 
 from __future__ import annotations
@@ -53,12 +60,13 @@ from .algebra import (
     Generator,
     Morphism,
     _add_term,
+    _checked_images,
     _extend_terms,
     extend_derivation,
     require_graded,
     transfer_element,
 )
-from .errors import DegreeMismatch, PresentationMismatch, UnknownGenerator
+from .errors import PreconditionViolated, PresentationMismatch, UnknownGenerator
 
 
 class CylinderAlgebra:
@@ -75,6 +83,11 @@ class CylinderAlgebra:
         if any("@" in n for n in base.generator_names()):
             raise PresentationMismatch("cannot build a cylinder over a cylinder")
         require_graded(base)
+        for g in base.generators:
+            if g.degree < 2:
+                raise PreconditionViolated(
+                    f"generator {g.name} has degree {g.degree}; cylinders need generators of degree >= 2"
+                )
         self.base = base
         self.bar_name: Dict[str, str] = {g.name: f"{g.name}@bar" for g in base.generators}
         self.hat_name: Dict[str, str] = {g.name: f"{g.name}@hat" for g in base.generators}
@@ -169,9 +182,11 @@ class CylinderAlgebra:
         return self._reach[name]
 
     def correction(self, name: str) -> Element:
-        """alpha(v) - v - hat(v) for a base generator; decomposable, and only
-        involving copies of V0 in any valid decomposition with v in V1."""
-        g = self.base.generator(name)
+        """alpha(v) - v - hat(v) for a base generator v = ``name``: its
+        decorated factors belong to generators in the reach of v, and it is
+        decomposable when d(v) is.  Only ``Homotopy.correction_image``
+        expands it."""
+        self.base.generator(name)
         return (
             self._alpha_generator(name)
             - self.total.gen(name)
@@ -200,22 +215,7 @@ class Homotopy:
             raise PresentationMismatch("start map must be defined on the cylinder base")
         self.cylinder = cylinder
         self.start = start
-        target = start.target
-        imgs = {}
-        for g in cylinder.base.generators:
-            img = bar_images.get(g.name)
-            if img is None:
-                img = target.zero()
-            if img.algebra is not target and img.algebra != target:
-                raise PresentationMismatch(f"bar image of {g.name} is not in the target")
-            if not img.is_zero() and not img.is_homogeneous(g.degree - 1):
-                raise DegreeMismatch(
-                    f"bar image of {g.name} must be homogeneous of degree {g.degree - 1}"
-                )
-            imgs[g.name] = img
-        for name in bar_images:
-            cylinder.base.generator(name)
-        self.bar_images = imgs
+        self.bar_images = _checked_images(cylinder.base, start.target, bar_images, -1, "bar image")
         self._morphism = None
         self._end = None
 

@@ -46,8 +46,8 @@ class HomotopyEndpointMismatch(DgaError):
 
 
 class LemmaViolation(DgaError):
-    """A correction term involves a generator that carries no bar, or is
-    indecomposable; the decomposition is bad."""
+    """A hypothesis of the correction lemma fails: d(w) reaches a generator
+    that carries no bar, or has a linear term; the decomposition is bad."""
 
 
 class PreconditionViolated(DgaError):

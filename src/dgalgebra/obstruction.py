@@ -7,14 +7,17 @@ subalgebra, and the obstruction assigns to each V1 generator w the class of
 
     f(w) + H(alpha(w) - w - hat(w)) - g(w)
 
-in the target cohomology at degree |w|.  The correction term only involves
-the plain, barred and hatted copies of V0 (so only H's bars on V0 matter)
-and the representative is always a cocycle; both facts are checked at
-runtime.  More precisely, every term of the correction carries a bar, and
-its decorated factors all belong to generators that d(w) reaches (the
-proof is in the ``cylinder`` docstring).  So H(...) is zero when H's bars
-vanish on that reach, as they do for the constant homotopy and at the
-first stage of the stage-wise deciders, and then no series is applied.
+in the target cohomology at degree |w|.  The lemma: when d(w) lies in the
+subalgebra on V0 and has no linear term, the correction term is
+decomposable and only involves the plain, barred and hatted copies of V0
+(so only H's bars on V0 matter).  Those two hypotheses are checked at
+runtime, without expanding the correction, and the representative is
+checked to be a cocycle.  More precisely, every term of the correction
+carries a bar, and its decorated factors all belong to generators that
+d(w) reaches (the proof is in the ``cylinder`` docstring).  So H(...) is
+zero when H's bars vanish on that reach, as they do for the constant
+homotopy and at the first stage of the stage-wise deciders, and then no
+series is applied.
 
 As only H's bars on V0 matter, a homotopy on V0 is given on the source's
 one cylinder: it starts at f, only its bars on V0 are read, and its bars on
@@ -109,33 +112,30 @@ def _obstruction_classes(
     """The classes [f(w) + H(alpha(w) - w - hat(w)) - g(w)] at ``names`` for
     ``H = Homotopy(build_cylinder(f.source), f, bars)``; unset bars are zero.
 
-    Checks the structural facts the construction relies on: each correction
-    is decomposable and only involves the plain, barred and hatted copies of
-    generators that carry a bar.  Both hold without expanding the correction
-    when the reach of w lies among those generators and every term of d(w)
-    has two or more factors, since every factor of the correction belongs to
-    a copy of a generator in the reach and gamma never lowers a term's
-    factor count; otherwise the correction is checked term by term.  H is
-    applied to a correction only when a bar is nonzero on the reach of w
-    (see ``Homotopy.correction_image``).
+    Checks the two hypotheses of the lemma that the correction is
+    decomposable and only involves the plain, barred and hatted copies of
+    generators that carry a bar: the reach of w lies among those generators,
+    and every term of d(w) has two or more factors.  Every factor of the
+    correction belongs to a copy of a generator in the reach, and gamma
+    never lowers a term's factor count; a linear term u of d(w) leaves the
+    one-factor term bar(u), which nothing cancels.  So no series is
+    expanded for the check, and H is applied to a correction only when a
+    bar is nonzero on the reach of w (see ``Homotopy.correction_image``).
     """
     cylinder = build_cylinder(f.source)
     h = Homotopy(cylinder, f, bars)
-    allowed = set(bars)
-    allowed.update(cylinder.bar_name[n] for n in bars)
-    allowed.update(cylinder.hat_name[n] for n in bars)
     classes = {}
     for w in names:
-        if not cylinder.reach(w).issubset(bars) or any(
-            m.factor_count() < 2 for m in f.source.differential_image(w).terms
-        ):
-            for m in cylinder.correction(w).terms:
-                if m.factor_count() < 2:
-                    raise LemmaViolation(f"correction of {w} has indecomposable term {m}")
-                if not allowed.issuperset(m.generator_names()):
-                    raise LemmaViolation(
-                        f"correction of {w} escapes the copies of the generators with a bar (term {m})"
-                    )
+        escaped = cylinder.reach(w).difference(bars)
+        if escaped:
+            raise LemmaViolation(
+                f"correction of {w} escapes the copies of the generators with a bar (at {sorted(escaped)})"
+            )
+        for m in f.source.differential_image(w).terms:
+            if m.factor_count() < 2:
+                raise LemmaViolation(
+                    f"correction of {w} has an indecomposable term: d({w}) has the linear term {m}"
+                )
         rep = f.images[w] + h.correction_image(w) - g.images[w]
         classes[w] = CohomologyClass(f.target, f.source.degree_of(w), rep)
     return classes
@@ -177,11 +177,6 @@ def _v0_bars(
     return {name: h.bar_images[name] for name in v0}
 
 
-def _v1_stage(decomposition: ObstructionDecomposition) -> List[Tuple[int, List[str]]]:
-    """V1 as stage 1 of the two-stage filtration V0 < V1."""
-    return [(1, decomposition.v1_ordered())]
-
-
 def compute_obstruction(
     f: Morphism,
     g: Morphism,
@@ -214,26 +209,20 @@ def extend_to_homotopy(
     has H's bars on V0, and its end map is g exactly.
     """
     bars = _v0_bars(f, g, h, decomposition)
-    full, _, value = _extend_by_stages(f, g, _v1_stage(decomposition), bars)
+    full, _, value = _extend_by_stages(f, g, [(1, decomposition.v1_ordered())], bars)
     if not value.is_zero():
         raise Obstructed(value)
     return full
 
 
-@dataclass
-class ZeroRestrictionDecision:
-    homotopic: bool
-    homotopy: Optional[Homotopy]
-    obstruction: ObstructionValue
-
-
 def decide_homotopic_zero_restriction(
     f: Morphism, g: Morphism, decomposition: ObstructionDecomposition
-) -> ZeroRestrictionDecision:
+) -> HomotopyDecision:
     """Complete homotopy decision when both maps kill the V0 generators.
 
     In that situation the obstruction does not depend on the choice of
-    homotopy between the restrictions, so the zero homotopy decides.
+    homotopy between the restrictions, so the zero homotopy decides: "yes"
+    with the extended homotopy, or "no" with the obstruction as certificate.
     """
     _check_maps(f, g, decomposition)
     v0 = decomposition.v0_ordered()
@@ -243,10 +232,14 @@ def decide_homotopic_zero_restriction(
                 f"both maps must vanish on V0 (generator {name})"
             )
     zero = {name: f.target.zero() for name in v0}  # the corrections may use V0
-    full, _, value = _extend_by_stages(f, g, _v1_stage(decomposition), zero)
-    if not value.is_zero():
-        return ZeroRestrictionDecision(False, None, value)
-    return ZeroRestrictionDecision(True, full, value)
+    full, _, value = _extend_by_stages(f, g, [(1, decomposition.v1_ordered())], zero)
+    if value.is_zero():
+        return HomotopyDecision("yes", homotopy=full, detail="zero-restriction decision")
+    return HomotopyDecision(
+        "no",
+        certificate={"kind": "obstruction", "nonzero_at": value.nonzero_generators(), "obstruction": value},
+        detail="nonzero obstruction with both maps vanishing on V0",
+    )
 
 
 # -- filtrations and the stage-wise decision ------------------------------------
@@ -452,18 +445,7 @@ def decide_homotopic(f: Morphism, g: Morphism) -> HomotopyDecision:
     except InvalidDecomposition:
         pass
     else:
-        decision = decide_homotopic_zero_restriction(f, g, decomposition)
-        if decision.homotopic:
-            return HomotopyDecision("yes", homotopy=decision.homotopy, detail="zero-restriction decision")
-        return HomotopyDecision(
-            "no",
-            certificate={
-                "kind": "obstruction",
-                "nonzero_at": decision.obstruction.nonzero_generators(),
-                "obstruction": decision.obstruction,
-            },
-            detail="nonzero obstruction with both maps vanishing on V0",
-        )
+        return decide_homotopic_zero_restriction(f, g, decomposition)
 
     stages = Filtration.by_degree(source).validate().in_order()
     full, stage, value = _extend_by_stages(f, g, stages, {})

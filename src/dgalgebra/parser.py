@@ -409,6 +409,10 @@ def _parse_generator_line(tokens, line_no, diagnostics) -> Optional[Generator]:
 
 @dataclass
 class MorphismParse:
+    """A parsed morphism file.  ``morphism`` is set when the file declares no
+    unknowns and has no diagnostics; ``symbolic_images`` holds the images
+    only when the file declares unknowns, and is empty otherwise."""
+
     morphism: Optional[Morphism]
     name: str
     source_name: str
@@ -520,7 +524,7 @@ def parse_morphism(
     morphism = None
     if not diagnostics and not unknowns:
         morphism = Morphism(source, target, images)
-    symbolic_images = images if unknowns else {n: SymbolicElement.from_element(x) for n, x in images.items()}
+    symbolic_images = images if unknowns else {}
     return MorphismParse(
         morphism, name, src_name, tgt_name, unknowns, symbolic_images, diagnostics
     )

@@ -305,25 +305,21 @@ def _certify_pair(assignment, side, f_prime, witnesses, lam, i, j) -> FamilyPair
     obstruction with the zero homotopy is [h_i(w) - h_j(w)] per generator.
     A weight-w component x_w of f_prime(w) contributes
     (lam**(i*w) - lam**(j*w)) * x_w; a non-bounding component certifies
-    distinctness, with the scale factor reported exactly.
+    distinctness, with the scale factor reported exactly.  On a weighted
+    target the components are those of f_prime(w); on a weighted source
+    f_prime(w) is one component, of the weight of w.
     """
-    algebra = assignment.algebra
+    target = f_prime.target
     for w in witnesses:
         base = f_prime.images[w]
-        components = _weight_components(assignment, base) if side == "target" else None
         if side == "target":
-            for wt, comp in sorted(components.items()):
-                if is_coboundary(algebra, comp) is None:
-                    factor = lam ** (i * wt) - lam ** (j * wt)
-                    rep = comp * factor
-                    distinct = factor != 0 and is_coboundary(algebra, rep) is None
-                    return FamilyPair(i, j, w, wt, factor, distinct)
+            components = _weight_components(assignment, base)
         else:
-            wt = assignment.weights[w]
-            if is_coboundary(f_prime.target, base) is None:
+            components = {assignment.weights[w]: base}
+        for wt, comp in sorted(components.items()):
+            if is_coboundary(target, comp) is None:
                 factor = lam ** (i * wt) - lam ** (j * wt)
-                rep = base * factor
-                distinct = factor != 0 and is_coboundary(f_prime.target, rep) is None
+                distinct = factor != 0 and is_coboundary(target, comp * factor) is None
                 return FamilyPair(i, j, w, wt, factor, distinct)
     return FamilyPair(i, j, "", 0, 0, False)
 

@@ -83,6 +83,47 @@ def minimal_algebras(draw, max_gens=4, max_degree=7):
 
 
 @st.composite
+def linear_part_algebras(draw):
+    """A random presentation whose differential has linear parts.
+
+    Pairs b_k, a_k with d(a_k) = 0 and d(b_k) = a_k + z_k, where z_k is a
+    random combination of products of the closed generators a_j and c_i,
+    hence a cocycle; then a generator e whose d(e) is a random cocycle of
+    the algebra without e, drawn from the kernel of d, so that it may use
+    the b_k and have linear terms.  d*d = 0 holds by construction.
+    """
+    n_closed = draw(st.integers(min_value=0, max_value=2))
+    closed = [(f"c{i}", draw(st.integers(min_value=2, max_value=4))) for i in range(n_closed)]
+    n_pairs = draw(st.integers(min_value=1, max_value=2))
+    pairs = [draw(st.integers(min_value=2, max_value=5)) for _ in range(n_pairs)]
+    closed += [(f"a{k}", m + 1) for k, m in enumerate(pairs)]
+    specs = closed + [(f"b{k}", m) for k, m in enumerate(pairs)]
+    base = AlgebraPresentation.unsealed(specs, label="linear_parts")
+    closed_names = {name for name, _ in closed}
+    for k, m in enumerate(pairs):
+        products = [
+            p
+            for p in base.monomial_basis(m + 1)
+            if p.factor_count() >= 2 and closed_names.issuperset(p.generator_names())
+        ]
+        coeffs = draw(st.lists(rationals, min_size=len(products), max_size=len(products)))
+        base._set_differential(f"b{k}", base.gen(f"a{k}") + base.element(dict(zip(products, coeffs))))
+    base.seal()
+    top = draw(st.integers(min_value=3, max_value=8))
+    _, kernel = rref_solve(differential_matrix(base, top + 1), [0] * len(base.monomial_basis(top + 2)))
+    coeffs = draw(st.lists(rationals, min_size=len(kernel), max_size=len(kernel)))
+    cocycle = {}
+    for c, vec in zip(coeffs, kernel):
+        for p, v in zip(base.monomial_basis(top + 1), vec):
+            cocycle[p] = cocycle.get(p, 0) + c * v
+    algebra = AlgebraPresentation.unsealed(specs + [("e", top)], label="linear_parts")
+    for name in base.generator_names():
+        algebra._set_differential(name, algebra.element(base.differential_image(name).terms))
+    algebra._set_differential("e", algebra.element(cocycle))
+    return algebra.seal()
+
+
+@st.composite
 def weighted_two_stage_algebras(draw, max_closed=3, max_top=2):
     """A random minimal presentation with positive weights in two stages.
 

@@ -7,11 +7,15 @@ import pytest
 from dgalgebra import (
     AlgebraPresentation,
     DegreeMismatch,
+    Filtration,
     Homotopy,
     HomotopyEndpointMismatch,
     Morphism,
+    PreconditionViolated,
     UnknownGenerator,
     build_cylinder,
+    decide_homotopic,
+    decide_nullhomotopic,
     extend_to_homotopy,
     make_decomposition,
 )
@@ -75,6 +79,23 @@ def test_a_misgraded_base_has_no_cylinder():
     A = AlgebraPresentation.build([("a", 3), ("v", 4)], lambda g: {"v": g.a * g.v})
     with pytest.raises(DegreeMismatch, match=r"d\(v\)"):
         build_cylinder(A)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda f: decide_homotopic(f, f),
+        lambda f: decide_nullhomotopic(f, Filtration.by_degree(f.source)),
+        Homotopy.constant,
+    ],
+    ids=["decide_homotopic", "decide_nullhomotopic", "constant"],
+)
+def test_a_degree_one_generator_is_named_at_every_homotopy_entry_point(entry):
+    # the barred copy of t would have degree 0; the error names t, not an
+    # internal cylinder generator
+    A = AlgebraPresentation.build([("t", 1), ("x", 2)])
+    with pytest.raises(PreconditionViolated, match=r"generator t has degree 1; cylinders need .* degree >= 2"):
+        entry(Morphism.identity(A))
 
 
 def test_reach_is_the_closure_of_the_differential_support():

@@ -187,7 +187,7 @@ def test_case_one_members_pairwise_homotopic(ex52):
     for a in members:
         for b in members:
             decision = decide_homotopic_zero_restriction(a, b, decomposition)
-            assert decision.homotopic
+            assert decision.yes
             end = decision.homotopy.end()
             for name in ex52.generator_names():
                 assert end.images[name] == b.images[name]
@@ -197,7 +197,7 @@ def test_zero_vs_zero(ex51):
     decomposition = v0_split(ex51)
     zero = Morphism.zero_map(ex51, ex51)
     decision = decide_homotopic_zero_restriction(zero, zero, decomposition)
-    assert decision.homotopic
+    assert decision.yes
 
 
 def test_essential_class_detected():
@@ -207,8 +207,8 @@ def test_essential_class_detected():
     f = Morphism(source, target, {"w": target.gen("x")})
     g = Morphism.zero_map(source, target)
     decision = decide_homotopic_zero_restriction(f, g, decomposition)
-    assert not decision.homotopic
-    assert decision.obstruction.nonzero_generators() == ["w"]
+    assert decision.no and decision.certificate["kind"] == "obstruction"
+    assert decision.certificate["obstruction"].nonzero_generators() == decision.certificate["nonzero_at"] == ["w"]
 
 
 # -- dependence of the obstruction on the homotopy -----------------------------------
@@ -452,7 +452,7 @@ def test_stage_search_yes_builds_no_subalgebra(monkeypatch):
     f, zero, split = case_one_member(fresh), Morphism.zero_map(fresh, fresh), v0_split(fresh)
     assert compute_obstruction(f, zero, Homotopy.constant(f), split).is_zero()
     assert extend_to_homotopy(f, zero, Homotopy.constant(f), split).end() == zero
-    assert decide_homotopic_zero_restriction(f, zero, split).homotopic
+    assert decide_homotopic_zero_restriction(f, zero, split).yes
     assert fresh._sub_cache == {}
 
     ex51 = load("ex51.dga")
@@ -510,15 +510,13 @@ def test_obstruction_reads_only_the_v0_bars(ex53, monkeypatch):
 )
 def test_obstruction_scan_falls_back_and_raises(text, bars, w, message, monkeypatch):
     # y1 reaches x1 and x2 but only x1 has a bar; d(b) = a has one factor.
-    # Either way the correction is expanded and scanned term by term.
+    # Either way the lemma's hypotheses fail, and no correction is expanded
+    # to find that out.
     algebra = parse_presentation(text).presentation
-    expanded = []
-    correction = CylinderAlgebra.correction
-    monkeypatch.setattr(CylinderAlgebra, "correction", lambda c, v: expanded.append(v) or correction(c, v))
+    monkeypatch.setattr(CylinderAlgebra, "correction", lambda c, v: pytest.fail(f"expanded the correction of {v}"))
     f = Morphism.identity(algebra)
     with pytest.raises(LemmaViolation, match=message):
         _obstruction_classes(f, f, {n: algebra.zero() for n in bars}, [w])
-    assert expanded == [w]
 
 
 def test_obstruction_rejects_a_nonzero_bar_on_v1(ex52):

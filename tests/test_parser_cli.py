@@ -111,6 +111,8 @@ def test_non_ascii_digit_in_a_morphism_is_an_unexpected_character(ex53, image, c
 def test_morphism_parse_and_print(ex53):
     parsed = parse_morphism(corpus.read("ex53_inv.map"), ex53, ex53)
     assert parsed.ok
+    # a file without unknowns has its images on the morphism only
+    assert not parsed.has_unknowns and parsed.symbolic_images == {}
     f = parsed.morphism
     text = print_morphism(f, "involution")
     again = parse_morphism(text, ex53, ex53)

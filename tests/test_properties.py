@@ -47,7 +47,6 @@ from dgalgebra.cohomology import (
 )
 from dgalgebra.errors import LemmaViolation, NotACocycle, Obstructed, UnsupportedShape
 from dgalgebra.linalg import rref_solve
-from dgalgebra.cylinder import CylinderAlgebra
 from dgalgebra.obstruction import Filtration, _obstruction_classes
 from dgalgebra.parser import parse_morphism, parse_presentation, print_morphism, print_presentation
 from dgalgebra.symbolic import Poly
@@ -69,6 +68,7 @@ from oracles import (
 from strategies import (
     algebra_with_elements,
     elements_of,
+    linear_part_algebras,
     minimal_algebras,
     nonzero_rationals,
     points,
@@ -447,37 +447,41 @@ def test_end_and_correction_images_match_the_series_oracle_on_drawn_algebras(alg
 
 @given(
     st.one_of(
+        linear_part_algebras(),
         minimal_algebras(max_gens=4, max_degree=7),
         st.sampled_from(CORPUS[:3] + [parse_presentation(LINEAR_D).presentation]),
     ),
     st.data(),
 )
 @settings(max_examples=80)
-def test_obstruction_scan_is_skipped_only_where_it_cannot_fail(algebra, draw):
-    # _obstruction_classes, one generator at a time with zero bars on drawn
-    # keys: wherever it did not expand the correction, the scan of the
-    # series oracle finds no indecomposable term and no factor outside the
-    # copies of the keys
+def test_lemma_violation_is_raised_exactly_where_the_series_has_an_offending_term(algebra, draw):
+    # _obstruction_classes, one generator w at a time with zero bars on drawn
+    # keys: when the keys contain the reach of w, LemmaViolation is raised
+    # exactly where the correction, expanded by the series oracle, has an
+    # indecomposable term or a factor outside the copies of the keys; when
+    # they do not, it is raised as an escape
     names = algebra.generator_names()
-    keys = draw.draw(st.one_of(st.just(set()), st.just(set(names)), st.sets(st.sampled_from(names))))
     cyl = build_cylinder(algebra)
-    allowed = set(keys) | {cyl.bar_name[n] for n in keys} | {cyl.hat_name[n] for n in keys}
     f = Morphism.identity(algebra)
-    correction = CylinderAlgebra.correction
     for w in names:
-        expanded = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(CylinderAlgebra, "correction", lambda c, v: expanded.append(v) or correction(c, v))
-            try:
-                _obstruction_classes(f, f, {n: algebra.zero() for n in keys}, [w])
-            except LemmaViolation:
-                assert expanded == [w]
-        if expanded:
+        keys = draw.draw(st.sets(st.sampled_from(names)))
+        if draw.draw(st.booleans()):
+            keys |= cyl.reach(w)
+        try:
+            _obstruction_classes(f, f, {n: algebra.zero() for n in keys}, [w])
+        except LemmaViolation as exc:
+            raised = str(exc)
+        else:
+            raised = None
+        if not keys.issuperset(cyl.reach(w)):
+            assert raised is not None and "escapes" in raised
             continue
+        allowed = keys | {cyl.bar_name[n] for n in keys} | {cyl.hat_name[n] for n in keys}
         series = alpha_by_series(cyl, w) - cyl.total.gen(w) - cyl.total.gen(cyl.hat_name[w])
-        for m in series.terms:
-            assert m.factor_count() >= 2
-            assert allowed.issuperset(m.generator_names())
+        offending = [
+            m for m in series.terms if m.factor_count() < 2 or not allowed.issuperset(m.generator_names())
+        ]
+        assert (raised is not None) == bool(offending), (w, sorted(keys), raised, offending)
 
 
 def _assert_exact(*elements):

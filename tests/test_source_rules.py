@@ -195,6 +195,19 @@ def test_homotopies_are_applied_only_inside_cylinder_py():
     assert [where for where in calls if not where.startswith("cylinder.py:")] == []
 
 
+def test_the_correction_is_expanded_only_inside_cylinder_py():
+    """``.correction(`` is called only in ``cylinder.py``, by
+    ``Homotopy.correction_image``, so no module expands alpha to check the
+    lemma: its hypotheses are read from the reach and from d(w)."""
+    calls = [
+        where
+        for where, node in _nodes()
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "correction"
+    ]
+    assert calls
+    assert [where for where in calls if not where.startswith("cylinder.py:")] == []
+
+
 def _is_fraction_call(node: ast.AST) -> bool:
     return isinstance(node, ast.Call) and "Fraction" in (
         getattr(node.func, "id", None),
