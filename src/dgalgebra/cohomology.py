@@ -1,8 +1,8 @@
 """Degree-bounded cohomology with exact witnesses.
 
-Representatives are canonical: the reduced kernel vectors are put in reduced
-row echelon form, so the same presentation always yields the same cocycle
-representatives, in the same order.
+Representatives are canonical: the reduced echelon basis of the cocycles
+that are 0 at every B^n pivot, from one elimination of d_n, so the same
+presentation always yields the same representatives, in the same order.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ class DegreeCohomology:
     degree: int
     dimension: int
     representatives: List[Element]
-    # sparse echelon rows (from ``_echelon``) and pivots over the degree-n
-    # basis index
+    # sparse reduced echelon rows and ascending pivots over the degree-n
+    # basis index: B^n, and the kernel of d_n off the B^n pivots
     _boundaries: Tuple[List[Dict[int, Fraction]], List[int]] = field(repr=False)
     _rep_rows: Tuple[List[Dict[int, Fraction]], List[int]] = field(repr=False)
 
@@ -85,31 +85,39 @@ def cohomology_at_degree(algebra: AlgebraPresentation, n: int) -> DegreeCohomolo
     """H^n with canonical representatives, computed once per presentation
     and degree.
 
-    Z^n is read off the echelon rows of d_n and B^n is the echelon form of
-    the transposed d-matrix of degree n - 1, both eliminated from the
-    cached d-matrices without a copy; the representatives are the echelon
-    rows of the kernel vectors reduced modulo B^n.  Each kernel vector
-    meets only the B^n rows at the pivots in its support
-    (``reduce_mod_rows``).  Both echelon forms are kept for
-    ``class_coordinates``.
+    B^n is the echelon form of the transposed d-matrix of degree n - 1.  The
+    representatives span the kernel of d_n off the B^n pivots (the cocycles
+    reduced modulo B^n), eliminated once in reversed column order: so each
+    kernel vector is 1 at its free column, 0 at the other free ones and
+    otherwise nonzero only at later basis indices, and the kernel basis,
+    reversed, is the reduced echelon form.  Both forms are kept for
+    ``class_coordinates``; cached d-matrices are not copied.
     """
+    _check_int("n", n)
     cached = algebra._cohomology_cache.get(n)
     if cached is not None:
         return cached
     basis = algebra.monomial_basis(n)
     boundaries = rep_rows = ([], [])
     if basis:
-        kernel = kernel_rows(*_echelon(_d_matrix(algebra, n)), len(basis))
         boundaries = _echelon(_d_matrix(algebra, n - 1).transpose())
-        reduced = [red for red in (reduce_mod_rows(vec, *boundaries) for vec in kernel) if red]
-        if reduced:
-            matrix = RationalMatrix(len(reduced), len(basis))
-            matrix.entries = {(i, j): v for i, red in enumerate(reduced) for j, v in red.items()}
-            rep_rows = _echelon(matrix)
+        free = sorted(set(range(len(basis))).difference(boundaries[1]), reverse=True)
+        column = {j: k for k, j in enumerate(free)}
+        d = _d_matrix(algebra, n)
+        off_b = RationalMatrix(d.rows, len(free))
+        off_b.entries = {(i, column[j]): v for (i, j), v in d.entries.items() if j in column}
+        kernel = kernel_rows(*_echelon(off_b), len(free))
+        rows = [{free[k]: v for k, v in vec.items()} for vec in reversed(kernel)]
+        rep_rows = (rows, [min(row) for row in rows])
     reps = [algebra.element({basis[j]: row[j] for j in sorted(row)}) for row in rep_rows[0]]
     result = DegreeCohomology(algebra, n, len(reps), reps, boundaries, rep_rows)
     algebra._cohomology_cache[n] = result
     return result
+
+
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PreconditionViolated(f"{name} must be an int, got {value!r}")
 
 
 def is_coboundary(algebra: AlgebraPresentation, z: Element) -> Optional[Element]:
@@ -137,9 +145,7 @@ def is_coboundary(algebra: AlgebraPresentation, z: Element) -> Optional[Element]
     return witness
 
 
-def class_coordinates(
-    target: AlgebraPresentation, x: Element, n: int
-) -> List[Fraction]:
+def class_coordinates(target: AlgebraPresentation, x: Element, n: int) -> List[Fraction]:
     """Coordinates of the class of cocycle ``x`` in the canonical H^n basis.
 
     Reduced modulo the B^n echelon rows, a cocycle is a combination of the
@@ -148,9 +154,9 @@ def class_coordinates(
     """
     if x.algebra != target:
         raise PresentationMismatch("element belongs to a different presentation")
+    h = cohomology_at_degree(target, n)
     if not x.is_homogeneous(n):
         raise NotACocycle(f"element is not homogeneous of degree {n}")
-    h = cohomology_at_degree(target, n)
     index = {m: i for i, m in enumerate(target.monomial_basis(n))}
     rest = reduce_mod_rows({index[m]: c for m, c in x.terms.items()}, *h._boundaries)
     coordinates = [Fraction(rest.get(p, 0)) for p in h._rep_rows[1]]
@@ -168,18 +174,14 @@ def induced_map(f: Morphism, n: int):
     non-homotopy.
     """
     source_reps = cohomology_at_degree(f.source, n).representatives
-    return tuple(
-        tuple(class_coordinates(f.target, f.apply(r), n)) for r in source_reps
-    )
+    return tuple(tuple(class_coordinates(f.target, f.apply(r), n)) for r in source_reps)
 
 
 def induced_map_is_isomorphism(f: Morphism, n: int) -> bool:
     matrix = induced_map(f, n)
-    dim_src = len(matrix)
-    dim_tgt = cohomology_at_degree(f.target, n).dimension
-    if dim_src != dim_tgt:
+    if len(matrix) != cohomology_at_degree(f.target, n).dimension:
         return False
-    return dim_src == 0 or len(rref(RationalMatrix.from_rows(matrix))[1]) == dim_src
+    return not matrix or len(rref(RationalMatrix.from_rows(matrix))[1]) == len(matrix)
 
 
 def monomial_weight(algebra: AlgebraPresentation, m) -> int:
@@ -202,6 +204,7 @@ def weight_split_cohomology(
     weight-homogeneous and the split groups them by weight, in ascending
     order.  For n >= 1 and positive weights only i > -n occurs.
     """
+    _check_int("n", n)
     if not algebra.has_weights():
         raise WeightsMissing("all generators need weights for a weight split")
     for g in algebra.generators:
@@ -225,6 +228,7 @@ def nilpotency_witness(
     algebra: AlgebraPresentation, z: Element, k_max: int
 ) -> Optional[Tuple[int, Element]]:
     """Least k <= k_max with z**k a coboundary, together with a witness."""
+    _check_int("k_max", k_max)
     if not algebra.d(z).is_zero():
         raise NotACocycle("nilpotency search needs a cocycle")
     power = algebra.one()
@@ -249,15 +253,11 @@ class CohomologyClass:
         if not self.algebra.d(self.representative).is_zero():
             raise NotACocycle("representative is not a cocycle")
         if not self.representative.is_homogeneous(self.degree):
-            if not self.representative.is_zero():
-                raise NotACocycle("representative has the wrong degree")
-        self._witness_cache = False
-        self._witness = None
+            raise NotACocycle("representative has the wrong degree")
 
     def coboundary_witness(self) -> Optional[Element]:
-        if not self._witness_cache:
+        if not hasattr(self, "_witness"):
             self._witness = is_coboundary(self.algebra, self.representative)
-            self._witness_cache = True
         return self._witness
 
     def is_zero(self) -> bool:

@@ -20,7 +20,7 @@ from dgalgebra import (
     weight_split_cohomology,
 )
 from dgalgebra import cohomology
-from dgalgebra.cohomology import class_coordinates, differential_matrix
+from dgalgebra.cohomology import class_coordinates, differential_matrix, induced_map_is_isomorphism
 from dgalgebra.parser import parse_morphism, parse_presentation
 from dgalgebra import corpus
 from oracles import class_coordinates_by_solve, dense_rank, dense_representatives
@@ -61,15 +61,20 @@ def test_dimension_matches_rank_computation(ex52):
         assert result.dimension == (dim_n - rank_n) - rank_lower
 
 
-def test_deep_degrees_of_the_probe_shape_match_dense_oracles():
+def probe_shape():
     # degree-2 a, b, c, e; degree-3 x, y with d x = a*c, d y = b*c; degree-4 z
-    # with d z = b*x - a*y.  B^12 has 68 echelon rows, far more than the
-    # random presentations of the property tests reach.
-    A = AlgebraPresentation.build(
+    # with d z = b*x - a*y
+    return AlgebraPresentation.build(
         [("a", 2), ("b", 2), ("c", 2), ("e", 2), ("x", 3), ("y", 3), ("z", 4)],
         lambda g: {"x": g.a * g.c, "y": g.b * g.c, "z": g.b * g.x - g.a * g.y},
         label="probe",
     )
+
+
+def test_deep_degrees_of_the_probe_shape_match_dense_oracles():
+    # B^12 has 68 echelon rows, far more than the random presentations of
+    # the property tests reach.
+    A = probe_shape()
     assert len(cohomology_at_degree(A, 12)._boundaries[1]) == 68
     for n in range(13):
         reps = cohomology_at_degree(A, n).representatives
@@ -95,6 +100,28 @@ def test_differential_matrix_is_assembled_once_per_degree(monkeypatch):
     for n in range(-1, 15):
         differential_matrix(A, n)
     assert sorted(assembled) == list(range(-1, 15))
+
+
+def test_a_fresh_degree_costs_two_eliminations_and_no_reduction(monkeypatch):
+    # one elimination for B^n, one for the kernel of d_n off the B^n pivots
+    A = probe_shape()
+    calls = {"rref": 0, "reduce_mod_rows": 0}
+
+    def counting(name):
+        fn = getattr(cohomology, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(cohomology, name, counting(name))
+    for n in range(2, 15):
+        cohomology_at_degree(A, n)
+        assert calls == {"rref": 2, "reduce_mod_rows": 0}, n
+        calls.update(rref=0)
 
 
 def test_differential_matrix_returns_a_fresh_copy(two_stage):
@@ -264,7 +291,7 @@ def test_no_nilpotency_in_polynomial_algebra():
 def test_coboundary_solve_matches_dense_oracle(ex52):
     # the degree-130 query against the degree-129 coboundary matrix, solved a
     # second way with plain dense elimination
-    from dgalgebra.cohomology import class_coordinates, differential_matrix
+    from dgalgebra.cohomology import class_coordinates, differential_matrix, induced_map_is_isomorphism
     from fractions import Fraction
     from oracles import dense_solve
 
@@ -300,3 +327,24 @@ def test_homotopic_maps_induce_equal_matrices(ex52):
     iota = Morphism.identity(ex52)
     for n in range(0, ex52.max_generator_degree() + 1):
         assert induced_map(f, n) == induced_map(iota, n)
+
+
+DEGREE_ENTRY_POINTS = {
+    "cohomology_at_degree": lambda A, W, n: cohomology_at_degree(A, n),
+    "class_coordinates": lambda A, W, n: class_coordinates(A, A.gen("x1"), n),
+    "induced_map": lambda A, W, n: induced_map(Morphism.identity(A), n),
+    "induced_map_is_isomorphism": lambda A, W, n: induced_map_is_isomorphism(Morphism.identity(A), n),
+    "weight_split_cohomology": lambda A, W, n: weight_split_cohomology(W, n),
+    "nilpotency_witness": lambda A, W, n: nilpotency_witness(A, A.gen("x1"), n),
+}
+
+
+@pytest.mark.parametrize("entry", DEGREE_ENTRY_POINTS)
+def test_a_degree_that_is_not_an_int_is_a_precondition_violation(ex53, free_even_weighted, entry):
+    call = DEGREE_ENTRY_POINTS[entry]
+    call(ex53, free_even_weighted, 10)
+    name = "k_max" if entry == "nilpotency_witness" else "n"
+    for bad in (2.5, True, 10.0, "2"):
+        with pytest.raises(PreconditionViolated, match=f"^{name} must be an int, got {bad!r}$"):
+            call(ex53, free_even_weighted, bad)
+    assert not [n for n in ex53._cohomology_cache if type(n) is not int]

@@ -186,6 +186,25 @@ def test_d_matrices_and_representatives_match_the_oracles(algebra):
 ALGEBRAS = st.one_of(minimal_algebras(), weighted_two_stage_algebras())
 
 
+@given(ALGEBRAS)
+@settings(max_examples=60)
+def test_representative_rows_are_reduced_echelon_cocycles_off_the_boundary_pivots(algebra):
+    """The precondition ``class_coordinates`` and ``reduce_mod_rows`` rely
+    on: ascending pivots, each row 1 at its own pivot and before it 0, and
+    0 at every other representative pivot and every B^n pivot; each row
+    is a cocycle."""
+    for n in range(algebra.max_generator_degree() + 4):
+        h = cohomology_at_degree(algebra, n)
+        rows, pivots = h._rep_rows
+        assert len(rows) == len(pivots) == h.dimension
+        assert pivots == sorted(set(pivots))
+        d_n = d_matrix_by_derivation(algebra, n)
+        for row, p in zip(rows, pivots):
+            assert min(row) == p and row[p] == 1
+            assert not [q for q in pivots + h._boundaries[1] if q != p and row.get(q)]
+            assert not any(d_n.mat_vec([row.get(j, 0) for j in range(d_n.cols)]))
+
+
 def _draw_homogeneous(draw, algebra, n):
     basis = algebra.monomial_basis(n)
     coeffs = draw(st.lists(rationals, min_size=len(basis), max_size=len(basis)))
