@@ -175,6 +175,13 @@ def _as_rational(c):
     raise TypeError(f"expected an exact rational, got {type(c).__name__}")
 
 
+def _check_int(name: str, value) -> None:
+    """Raise ``PreconditionViolated`` unless ``value`` is an ``int`` (a
+    ``bool`` is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PreconditionViolated(f"{name} must be an int, got {value!r}")
+
+
 class AlgebraPresentation:
     """A finitely generated free graded-commutative algebra with differential.
 
@@ -238,20 +245,11 @@ class AlgebraPresentation:
         elements and returns a dict of differential images; omitted
         generators get differential zero.
         """
-        gen_objs = []
-        for g in generators:
-            if isinstance(g, Generator):
-                gen_objs.append(g)
-            else:
-                gen_objs.append(Generator(*g))
-        alg = cls(gen_objs, label=label)
+        alg = cls.unsealed(generators, label=label)
         if differential is not None:
-            ns = SimpleNamespace(**{g.name: alg.gen(g.name) for g in alg.generators})
-            images = differential(ns)
-            for name, img in images.items():
+            for name, img in differential(alg.namespace()).items():
                 alg._set_differential(name, img)
-        alg._frozen = True
-        return alg
+        return alg.seal()
 
     @classmethod
     def unsealed(cls, generators, label: str = ""):
@@ -385,6 +383,7 @@ class AlgebraPresentation:
         the block whose first generator is ``g_i`` or an earlier one (each
         degree keeps these ends); else :meth:`_walk` enumerates them.
         """
+        _check_int("n", n)
         if n < 0:
             return []
         cache = self._basis_cache
@@ -504,19 +503,10 @@ class AlgebraPresentation:
                             f"subalgebra on {sorted(key)} is not d-closed: "
                             f"d({n}) uses {gname}"
                         )
-            sub._set_differential(n, transfer_element(img, sub))
+            sub._set_differential(n, sub.element(img.terms))
         sub.seal()
         self._sub_cache[key] = sub
         return sub
-
-
-def transfer_element(x: "Element", target: AlgebraPresentation) -> "Element":
-    """Reinterpret ``x`` in ``target``, matching generators by name.
-
-    Degrees must agree; used for subalgebra inclusions and cylinder bases,
-    where the generator sets genuinely overlap.
-    """
-    return Element(target, {_reindex(m, target): c for m, c in x.terms.items()})
 
 
 def _reindex(m: Monomial, target: AlgebraPresentation) -> Monomial:
@@ -563,16 +553,11 @@ class Element:
     def is_homogeneous(self, n: Optional[int] = None) -> bool:
         if not self.terms:
             return True
-        degs = {m.degree for m in self.terms}
-        if len(degs) != 1:
-            return False
-        return n is None or degs.pop() == n
-
-    def monomials(self):
-        return sorted(self.terms, key=self.algebra.monomial_sort_key)
+        d = self.degree()
+        return d is not None and (n is None or d == n)
 
     def sorted_terms(self):
-        return [(m, self.terms[m]) for m in self.monomials()]
+        return [(m, self.terms[m]) for m in sorted(self.terms, key=self.algebra.monomial_sort_key)]
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -212,13 +212,13 @@ def cmd_classify(args) -> int:
         "source": source.label,
         "target": target.label,
         "kind": classification.kind,
-        "classes": len(classification.classes) if classification.kind == "finite" else None,
+        "classes": classification.class_count,
         "representatives": [
             _morphism_json(c.representative) for c in classification.classes
         ],
     }
     if classification.kind == "finite":
-        human = f"homotopy set is finite with {len(classification.classes)} classes"
+        human = f"homotopy set is finite with {classification.class_count} classes"
         code = EXIT_OK
     elif classification.kind == "infinite":
         human = f"homotopy set is infinite: {classification.certificate}"

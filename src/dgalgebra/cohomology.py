@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraPresentation, Element, Morphism, _add_term, _by_index, _derivation_vectors
+from .algebra import AlgebraPresentation, Element, Morphism, _add_term, _by_index, _check_int, _derivation_vectors
 from .errors import DegreeMismatch, NotACocycle, PreconditionViolated, PresentationMismatch, WeightsMissing
 from .linalg import RationalMatrix, kernel_rows, reduce_mod_rows, rref, rref_solve
 
@@ -52,6 +52,7 @@ def differential_matrix(algebra: AlgebraPresentation, n: int) -> RationalMatrix:
     The full matrix is assembled once per presentation and degree; every
     call returns a fresh copy.
     """
+    _check_int("n", n)
     full = _d_matrix(algebra, n)
     matrix = RationalMatrix(full.rows, full.cols)
     matrix.entries = dict(full.entries)
@@ -113,11 +114,6 @@ def cohomology_at_degree(algebra: AlgebraPresentation, n: int) -> DegreeCohomolo
     result = DegreeCohomology(algebra, n, len(reps), reps, boundaries, rep_rows)
     algebra._cohomology_cache[n] = result
     return result
-
-
-def _check_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise PreconditionViolated(f"{name} must be an int, got {value!r}")
 
 
 def is_coboundary(algebra: AlgebraPresentation, z: Element) -> Optional[Element]:

@@ -64,7 +64,6 @@ from .algebra import (
     _extend_terms,
     extend_derivation,
     require_graded,
-    transfer_element,
 )
 from .errors import PreconditionViolated, PresentationMismatch, UnknownGenerator
 
@@ -98,9 +97,7 @@ class CylinderAlgebra:
             gens.append(Generator(self.hat_name[g.name], g.degree))
         total = AlgebraPresentation.unsealed(gens, label=(base.label + "^I") if base.label else "cylinder")
         for g in base.generators:
-            img = base.differential_image(g.name)
-            if not img.is_zero():
-                total._set_differential(g.name, transfer_element(img, total))
+            total._set_differential(g.name, total.element(base.differential_image(g.name).terms))
             total._set_differential(self.bar_name[g.name], total.gen(self.hat_name[g.name]))
         self.total = total.seal()
 
@@ -203,7 +200,7 @@ def build_cylinder(algebra: AlgebraPresentation) -> CylinderAlgebra:
 class Homotopy:
     """A homotopy presented by its start map and bar-generator images."""
 
-    __slots__ = ("cylinder", "start", "bar_images", "_morphism", "_end")
+    __slots__ = ("cylinder", "start", "bar_images", "_morphism")
 
     def __init__(
         self,
@@ -217,7 +214,6 @@ class Homotopy:
         self.start = start
         self.bar_images = _checked_images(cylinder.base, start.target, bar_images, -1, "bar image")
         self._morphism = None
-        self._end = None
 
     @property
     def target(self) -> AlgebraPresentation:
@@ -254,10 +250,8 @@ class Homotopy:
         return self.start.images[name] + self.target.d(self.bar_images[name]) + correction
 
     def end(self) -> Morphism:
-        if self._end is None:
-            images = {g.name: self.end_image(g.name) for g in self.cylinder.base.generators}
-            self._end = Morphism(self.cylinder.base, self.target, images)
-        return self._end
+        images = {g.name: self.end_image(g.name) for g in self.cylinder.base.generators}
+        return Morphism(self.cylinder.base, self.target, images)
 
     @classmethod
     def constant(cls, f: Morphism) -> "Homotopy":

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .algebra import AlgebraPresentation, Element, Morphism, require_graded
+from .algebra import AlgebraPresentation, Element, Morphism, _check_int, require_graded
 from .cohomology import CohomologyClass, induced_map
 from .cylinder import Homotopy, build_cylinder
 from .errors import (
@@ -269,13 +269,15 @@ class Filtration:
         for g in self.algebra.generators:
             if g.name not in self.stages:
                 raise InvalidFiltration(f"no stage for generator {g.name}")
+            _check_int(f"stage of {g.name}", self.stages[g.name])
+        for g in self.algebra.generators:
             s = self.stages[g.name]
             if s < 0:
                 raise InvalidFiltration(f"negative stage for {g.name}")
             img = self.algebra.differential_image(g.name)
             for m in img.terms:
                 for n in m.generator_names():
-                    if self.stages.get(n, s) >= s:
+                    if self.stages[n] >= s:
                         raise InvalidFiltration(
                             f"d({g.name}) uses {n} of stage >= {s}"
                         )

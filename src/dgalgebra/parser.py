@@ -286,22 +286,62 @@ class PresentationParse:
         return self.presentation is not None and not self.diagnostics
 
 
+def _lines(text: str, diagnostics: List[Diagnostic]):
+    """``(line number, tokens)`` for each line of ``text`` that has a token."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = _tokenize_line(raw, line_no, diagnostics)
+        if tokens[0].kind != "end":
+            yield line_no, tokens
+
+
+def _fits(tokens: List[Token], *words: str) -> bool:
+    """Whether the tokens after a line's first one start with ``words``:
+    ``ident`` or ``int`` for a token of that kind, else a symbol's text.
+    The final ``end`` token matches no word, so a short line does not fit."""
+    return all(t.kind == w if w in ("ident", "int") else t.text == w for t, w in zip(tokens[1:], words))
+
+
+_Assignments = Dict[str, Tuple[List[Token], int, int]]  # name -> (expression tokens, line, column)
+
+
+def _assign(assignments: _Assignments, name: Token, expression: List[Token], what: str, diagnostics) -> None:
+    """Record ``name = expression``; a second one for the same name is a
+    diagnostic, never an override."""
+    if name.text in assignments:
+        first = assignments[name.text][1]
+        diagnostics.append(
+            Diagnostic(name.line, name.column, f"second {what} for {name.text} (first on line {first})")
+        )
+    else:
+        assignments[name.text] = (expression, name.line, name.column)
+
+
+def _evaluate(assignments: _Assignments, source, target, unknowns, shift: int, unknown_message: str, diagnostics):
+    """``(name, value, line, column)`` for each recorded expression that
+    parses in ``target``, bounded by the degree of the generator ``name`` of
+    ``source`` plus ``shift``; a name that is not a generator of ``source``
+    gets the diagnostic ``unknown_message`` instead."""
+    for name, (tokens, line_no, col) in assignments.items():
+        if name not in source._by_name:
+            diagnostics.append(Diagnostic(line_no, col, f"{unknown_message} {name!r}"))
+            continue
+        value = _ExprParser(tokens, target, unknowns, diagnostics, source.degree_of(name) + shift).parse()
+        if value is not None:
+            yield name, value, line_no, col
+
+
 def parse_presentation(text: str) -> PresentationParse:
     diagnostics: List[Diagnostic] = []
     name = ""
     gen_specs: List[Tuple[Generator, int]] = []  # (generator, line)
-    d_lines: Dict[str, Tuple[List[Token], int, int]] = {}
+    d_lines: _Assignments = {}
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw, line_no, diagnostics)
-        if tokens[0].kind == "end":
-            continue
+    for line_no, tokens in _lines(text, diagnostics):
         head = tokens[0]
         if head.kind != "ident":
             diagnostics.append(Diagnostic(line_no, head.column, "expected a keyword"))
-            continue
-        if head.text == "algebra":
-            if len(tokens) < 3 or tokens[1].kind != "ident":
+        elif head.text == "algebra":
+            if not _fits(tokens, "ident"):
                 diagnostics.append(Diagnostic(line_no, head.column, "usage: algebra <name>"))
             elif tokens[2].kind != "end":
                 diagnostics.append(_trailing(tokens[2], line_no, "algebra <name>"))
@@ -312,23 +352,12 @@ def parse_presentation(text: str) -> PresentationParse:
             if spec is not None:
                 gen_specs.append((spec, line_no))
         elif head.text == "d":
-            if (
-                len(tokens) < 4
-                or tokens[1].kind != "ident"
-                or tokens[2].text != "="
-            ):
+            if not _fits(tokens, "ident", "="):
                 diagnostics.append(
                     Diagnostic(line_no, head.column, "usage: d <generator> = <expression>")
                 )
-                continue
-            gen = tokens[1]
-            if gen.text in d_lines:
-                first = d_lines[gen.text][1]
-                diagnostics.append(
-                    Diagnostic(line_no, gen.column, f"second differential for {gen.text} (first on line {first})")
-                )
-                continue
-            d_lines[gen.text] = (tokens[3:], line_no, gen.column)
+            else:
+                _assign(d_lines, tokens[1], tokens[3:], "differential", diagnostics)
         else:
             diagnostics.append(
                 Diagnostic(line_no, head.column, f"unknown directive {head.text!r}")
@@ -345,16 +374,10 @@ def parse_presentation(text: str) -> PresentationParse:
         return PresentationParse(None, diagnostics)
 
     algebra = AlgebraPresentation.unsealed([g for g, _ in gen_specs], label=name)
-    for gen_name, (tokens, line_no, col) in d_lines.items():
-        if gen_name not in algebra._by_name:
-            diagnostics.append(
-                Diagnostic(line_no, col, f"differential for unknown generator {gen_name!r}")
-            )
-            continue
-        parser = _ExprParser(tokens, algebra, (), diagnostics, algebra.degree_of(gen_name) + 1)
-        image = parser.parse()
-        if image is not None:
-            algebra._set_differential(gen_name, algebra.element(image.terms))
+    for gen_name, image, _, _ in _evaluate(
+        d_lines, algebra, algebra, (), 1, "differential for unknown generator", diagnostics
+    ):
+        algebra._set_differential(gen_name, algebra.element(image.terms))
     if diagnostics:
         return PresentationParse(None, diagnostics)
     return PresentationParse(algebra.seal(), diagnostics)
@@ -367,12 +390,7 @@ def _trailing(token: Token, line_no: int, usage: str) -> Diagnostic:
 
 def _parse_generator_line(tokens, line_no, diagnostics) -> Optional[Generator]:
     # generator <id> : <degree> [weight <w>] [stage <n>]
-    if (
-        len(tokens) < 5
-        or tokens[1].kind != "ident"
-        or tokens[2].text != ":"
-        or tokens[3].kind != "int"
-    ):
+    if not _fits(tokens, "ident", ":", "int"):
         diagnostics.append(
             Diagnostic(line_no, tokens[0].column, "usage: generator <id> : <degree> [weight <w>] [stage <n>]")
         )
@@ -436,45 +454,27 @@ def parse_morphism(
     diagnostics: List[Diagnostic] = []
     name = src_name = tgt_name = ""
     unknowns: List[str] = []
-    image_lines: Dict[str, Tuple[List[Token], int, int]] = {}
+    image_lines: _Assignments = {}
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw, line_no, diagnostics)
-        if tokens[0].kind == "end":
-            continue
+    for line_no, tokens in _lines(text, diagnostics):
         head = tokens[0]
-        if head.kind == "ident" and head.text == "morphism":
-            # morphism <name> : <src> -> <tgt>
-            shape = [t.kind for t in tokens[:6]]
-            texts = [t.text for t in tokens[:6]]
-            if (
-                len(tokens) >= 7
-                and shape[1] == "ident"
-                and texts[2] == ":"
-                and shape[3] == "ident"
-                and texts[4] == "->"
-                and shape[5] == "ident"
-            ):
+        if head.text == "morphism":
+            if _fits(tokens, "ident", ":", "ident", "->", "ident"):
                 if tokens[6].kind != "end":
                     diagnostics.append(_trailing(tokens[6], line_no, "morphism <name> : <source> -> <target>"))
-                name, src_name, tgt_name = texts[1], texts[3], texts[5]
-                if source.label and src_name != source.label:
-                    diagnostics.append(
-                        Diagnostic(line_no, tokens[3].column,
-                                   f"source {src_name!r} does not match algebra {source.label!r}")
-                    )
-                if target.label and tgt_name != target.label:
-                    diagnostics.append(
-                        Diagnostic(line_no, tokens[5].column,
-                                   f"target {tgt_name!r} does not match algebra {target.label!r}")
-                    )
+                name, src_name, tgt_name = tokens[1].text, tokens[3].text, tokens[5].text
+                for side, token, algebra in (("source", tokens[3], source), ("target", tokens[5], target)):
+                    if algebra.label and token.text != algebra.label:
+                        diagnostics.append(Diagnostic(
+                            line_no, token.column, f"{side} {token.text!r} does not match algebra {algebra.label!r}"
+                        ))
             else:
                 diagnostics.append(
                     Diagnostic(line_no, head.column, "usage: morphism <name> : <source> -> <target>")
                 )
-        elif head.kind == "ident" and head.text == "unknown":
+        elif head.text == "unknown":
             unknown = tokens[1]
-            if len(tokens) < 3 or unknown.kind != "ident":
+            if not _fits(tokens, "ident"):
                 diagnostics.append(Diagnostic(line_no, head.column, "usage: unknown <id>"))
             elif tokens[2].kind != "end":
                 diagnostics.append(_trailing(tokens[2], line_no, "unknown <id>"))
@@ -486,30 +486,18 @@ def parse_morphism(
                 )
             else:
                 unknowns.append(unknown.text)
-        elif head.kind == "ident" and len(tokens) >= 3 and tokens[1].text == "=":
-            if head.text in image_lines:
-                first = image_lines[head.text][1]
-                diagnostics.append(
-                    Diagnostic(line_no, head.column, f"second image for {head.text} (first on line {first})")
-                )
-            else:
-                image_lines[head.text] = (tokens[2:], line_no, head.column)
+        elif head.kind == "ident" and _fits(tokens, "="):
+            _assign(image_lines, head, tokens[2:], "image", diagnostics)
         else:
             diagnostics.append(
                 Diagnostic(line_no, head.column, "expected 'morphism', 'unknown' or '<generator> = <expression>'")
             )
 
     images: Dict[str, Value] = {}
-    for gen_name, (tokens, line_no, col) in image_lines.items():
-        if gen_name not in source._by_name:
-            diagnostics.append(
-                Diagnostic(line_no, col, f"image for unknown source generator {gen_name!r}")
-            )
-            continue
+    for gen_name, image, line_no, col in _evaluate(
+        image_lines, source, target, set(unknowns), 0, "image for unknown source generator", diagnostics
+    ):
         expected = source.degree_of(gen_name)
-        image = _ExprParser(tokens, target, set(unknowns), diagnostics, expected).parse()
-        if image is None:
-            continue
         for m in image.terms:
             if m.degree != expected:
                 diagnostics.append(

@@ -209,10 +209,6 @@ class SymbolicElement:
         return cls(x.algebra, {m: Poly.constant(c) for m, c in x.terms.items()})
 
     @classmethod
-    def zero(cls, algebra) -> "SymbolicElement":
-        return cls(algebra)
-
-    @classmethod
     def unknown_times(cls, name: str, x: Element) -> "SymbolicElement":
         v = Poly.variable(name)
         return cls(x.algebra, {m: v * c for m, c in x.terms.items()})

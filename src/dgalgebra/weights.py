@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraPresentation, Element, Morphism, _as_rational, compose
+from .algebra import AlgebraPresentation, Element, Morphism, _as_rational, _check_int, compose
 from .cohomology import is_coboundary
 from .errors import PreconditionViolated, WeightsMissing, ZeroLambda
 from .linalg import RationalMatrix, rref_solve
@@ -64,11 +64,6 @@ class WeightReport:
     @property
     def ok(self) -> bool:
         return not self.issues
-
-    @property
-    def is_universal_certificate(self) -> bool:
-        """A clean report certifies a positive weight decomposition."""
-        return self.ok
 
     def __str__(self):
         if self.ok:
@@ -267,6 +262,7 @@ def verify_infinite_family(f: Morphism, side: str, lam, count: int) -> InfiniteF
     certified through the obstruction of the normalised map, whose weight
     components scale by exactly lambda**(i*w) - lambda**(j*w).
     """
+    _check_int("count", count)
     if count < 1:
         raise PreconditionViolated(f"count must be at least 1, not {count}")
     lam = _as_rational(lam)
@@ -328,6 +324,7 @@ def scaled_composite(
     f: Morphism, side: str, assignment: WeightAssignment, lam, power: int
 ) -> Morphism:
     """The composite of f with the power-th iterate of the scaling map."""
+    _check_int("power", power)
     phi = phi_lambda(assignment, lam)
     out = f
     for _ in range(power):

@@ -224,3 +224,26 @@ def symbolic_elements_of(draw, algebra, max_terms=3, max_factors=3):
 def points(names=UNKNOWNS):
     """Rational values for the unknowns ``names``."""
     return st.fixed_dictionaries({n: rationals for n in names})
+
+
+FORMAT_CHARACTERS = " \t\n#:=+-*^()/,>_@0123456789xyz²"  # "²" is not an ASCII digit
+
+
+@st.composite
+def mutated_corpus_files(draw, max_edits=6):
+    """``(name, text)``: a bundled corpus file with format characters
+    inserted at, and runs of up to three characters deleted from, random
+    positions, half of them at the end of a line, where a token reader
+    most often runs past its input."""
+    from dgalgebra import corpus
+
+    name = draw(st.sampled_from(corpus.names()))
+    text = corpus.read(name)
+    for _ in range(draw(st.integers(min_value=1, max_value=max_edits))):
+        line_ends = [j for j, ch in enumerate(text) if ch == "\n"] + [len(text)]
+        i = draw(st.integers(min_value=0, max_value=len(text)) | st.sampled_from(line_ends))
+        if draw(st.booleans()):
+            text = text[:i] + draw(st.sampled_from(FORMAT_CHARACTERS)) + text[i:]
+        else:
+            text = text[:i] + text[i + draw(st.integers(min_value=1, max_value=3)) :]
+    return name, text

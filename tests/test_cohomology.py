@@ -336,6 +336,8 @@ DEGREE_ENTRY_POINTS = {
     "induced_map_is_isomorphism": lambda A, W, n: induced_map_is_isomorphism(Morphism.identity(A), n),
     "weight_split_cohomology": lambda A, W, n: weight_split_cohomology(W, n),
     "nilpotency_witness": lambda A, W, n: nilpotency_witness(A, A.gen("x1"), n),
+    "monomial_basis": lambda A, W, n: A.monomial_basis(n),
+    "differential_matrix": lambda A, W, n: differential_matrix(A, n),
 }
 
 

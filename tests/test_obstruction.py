@@ -320,6 +320,13 @@ def test_invalid_filtration_rejected(ex52):
         decide_nullhomotopic(Morphism.zero_map(ex52, ex52), bad)
 
 
+def test_a_stage_that_is_not_an_int_is_a_precondition_violation(free_even):
+    zero = Morphism.zero_map(free_even, free_even)
+    for bad in ("a", 1.0, True):
+        with pytest.raises(PreconditionViolated, match=f"^stage of w must be an int, got {bad!r}$"):
+            decide_nullhomotopic(zero, Filtration(free_even, {"w": bad}))
+
+
 def test_nullhomotopy_matches_bar_search_oracle(ex52):
     filtration = Filtration.by_degree(ex52)
     for f in (

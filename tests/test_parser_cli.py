@@ -1,10 +1,13 @@
 """Text format round-trips, diagnostics, CLI behaviour and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
 
 from dgalgebra import corpus, errors, validate_presentation
 from dgalgebra.cli import main as cli_main
@@ -18,6 +21,7 @@ from dgalgebra.parser import (
     print_morphism,
     print_presentation,
 )
+from strategies import mutated_corpus_files
 
 
 def test_corpus_files_parse_clean():
@@ -158,6 +162,41 @@ def run_cli(*args):
     with redirect_stdout(out), redirect_stderr(err):
         code = cli_main(list(args))
     return code, out.getvalue(), err.getvalue()
+
+
+MORPHISM_ENDS = {
+    "ex53_id.map": ("ex53.dga", "ex53.dga"),
+    "ex53_inv.map": ("ex53.dga", "ex53.dga"),
+    "w_to_x.map": ("free_even.dga", "free_even_weighted.dga"),
+}
+
+
+@given(mutated_corpus_files())
+@settings(max_examples=300)
+def test_mutated_corpus_files_give_diagnostics_or_dga_errors(mutated):
+    """Format characters inserted into and deleted from the corpus files
+    give diagnostics, a ``DgaError`` or an answer: never another exception.
+    The CLI maps each failure to a documented exit code, with no traceback."""
+    name, text = mutated
+    if name.endswith(".map"):
+        source, target = (parse_presentation(corpus.read(n)).presentation for n in MORPHISM_ENDS[name])
+        try:
+            parse_morphism(text, source, target)
+        except errors.DgaError:
+            pass
+        return
+    try:
+        parse_presentation(text)
+    except errors.DgaError:
+        pass
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in (["check", path], ["cohomology", path, "--max-degree", "6"]):
+            code, out, err = run_cli(*argv)
+            assert code in (0, 2, 3, 4, 5), (argv, code, err)
+            assert "Traceback" not in out + err
 
 
 def test_cli_check_ok():

@@ -66,6 +66,24 @@ def test_monomials_are_constructed_only_in_algebra_py():
     assert found == []
 
 
+def test_monomials_are_reindexed_only_in_element():
+    """``_reindex`` is called only inside ``AlgebraPresentation.element``,
+    so an element moves between presentations by one path."""
+    calls, in_element = [], set()
+    for where, node in _nodes():
+        if isinstance(node, ast.ClassDef) and node.name == "AlgebraPresentation":
+            for d in node.body:
+                if isinstance(d, ast.FunctionDef) and d.name == "element":
+                    in_element.update(ast.walk(d))
+        elif isinstance(node, ast.Call) and "_reindex" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            calls.append((where, node))
+    assert calls
+    assert [where for where, node in calls if node not in in_element] == []
+
+
 def _linalg_private_uses(path: Path):
     """Private ``linalg`` names that the module at ``path`` imports or reads
     as an attribute of ``linalg``."""

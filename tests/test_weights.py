@@ -27,7 +27,6 @@ def test_two_stage_weights_valid(two_stage):
     assignment = WeightAssignment.from_generators(two_stage)
     report = validate_weights(assignment)
     assert report.ok
-    assert report.is_universal_certificate
 
 
 def test_zero_differential_weight_equals_degree():
@@ -144,6 +143,16 @@ def test_equal_power_composites_are_the_same_class(free_even, free_even_weighted
     h2b = scaled_composite(f, "target", assignment, Fraction(2), 2)
     assert h2a == h2b
     assert decide_homotopic(h2a, h2b).yes
+
+
+def test_a_count_or_power_that_is_not_an_int_is_a_precondition_violation(free_even, free_even_weighted):
+    f = Morphism(free_even, free_even_weighted, {"w": free_even_weighted.gen("x")})
+    assignment = WeightAssignment.from_generators(free_even_weighted)
+    for bad in (2.5, True, "2"):
+        with pytest.raises(PreconditionViolated, match=f"^count must be an int, got {bad!r}$"):
+            verify_infinite_family(f, "target", 2, bad)
+        with pytest.raises(PreconditionViolated, match=f"^power must be an int, got {bad!r}$"):
+            scaled_composite(f, "target", assignment, 2, bad)
 
 
 def test_float_lambda_is_rejected(free_even, free_even_weighted):
