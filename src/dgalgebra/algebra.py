@@ -32,6 +32,12 @@ coefficients, so ``Element``, ``Morphism`` and the cylinder's ``alpha``
 the generic ansatz (``symbolic.Poly`` coefficients); ``Poly`` reuses its
 sum and power.
 
+The weight layer lives here too: ``WeightAssignment.weight_of_monomial``
+is the only sum of factor weights, ``validate_weights`` the only judge of
+an assignment (every generator weighted by a positive ``int``, no other
+name, d weight-homogeneous), and ``WeightAssignment.require_valid`` the
+only place that raises ``WeightsMissing`` on its report.
+
 Values are immutable once built: presentations, elements and morphisms can
 be shared freely between threads.
 """
@@ -51,6 +57,7 @@ from .errors import (
     PreconditionViolated,
     PresentationMismatch,
     UnknownGenerator,
+    WeightsMissing,
 )
 
 Scalar = (int, Fraction)
@@ -60,9 +67,10 @@ Scalar = (int, Fraction)
 class Generator:
     """A named algebra generator with its total degree and optional extras.
 
-    ``weight`` is a positive multiplicative grading used by the weight
-    machinery; ``stage`` is a filtration index used by the stage-wise
-    nullhomotopy decision.  Both are plain annotations here.
+    ``weight`` is a positive multiplicative grading read through
+    :class:`WeightAssignment`; ``stage`` is a filtration index used by the
+    stage-wise nullhomotopy decision.  Degree, weight and stage are each an
+    ``int`` (a ``bool`` is not one), else ``PreconditionViolated``.
     """
 
     name: str
@@ -73,12 +81,12 @@ class Generator:
     def __post_init__(self):
         if not self.name:
             raise DgaError("generator needs a nonempty name")
-        if self.degree < 1:
-            raise DgaError(f"generator {self.name}: degree must be >= 1")
-        if self.weight is not None and self.weight < 1:
-            raise DgaError(f"generator {self.name}: weight must be >= 1")
-        if self.stage is not None and self.stage < 0:
-            raise DgaError(f"generator {self.name}: stage must be >= 0")
+        for attr, least in (("degree", 1), ("weight", 1), ("stage", 0)):
+            value = getattr(self, attr)
+            if value is not None or attr == "degree":
+                _check_int(f"generator {self.name}: {attr}", value)
+                if value < least:
+                    raise DgaError(f"generator {self.name}: {attr} must be >= {least}")
 
     @property
     def is_odd(self) -> bool:
@@ -316,9 +324,6 @@ class AlgebraPresentation:
 
     def degree_of(self, name: str) -> int:
         return self.generator(name).degree
-
-    def has_weights(self) -> bool:
-        return all(g.weight is not None for g in self.generators)
 
     def max_generator_degree(self) -> int:
         return max((g.degree for g in self.generators), default=0)
@@ -862,15 +867,14 @@ class ValidationIssue:
 @dataclass
 class ValidationReport:
     issues: list
+    valid = "presentation valid: d*d = 0, differentials decomposable, degrees >= 2"
 
     @property
     def ok(self) -> bool:
         return not self.issues
 
     def __str__(self):
-        if self.ok:
-            return "presentation valid: d*d = 0, differentials decomposable, degrees >= 2"
-        return "\n".join(str(i) for i in self.issues)
+        return "\n".join(str(i) for i in self.issues) or self.valid
 
 
 def validate_presentation(algebra: AlgebraPresentation) -> ValidationReport:
@@ -916,6 +920,74 @@ def require_graded(*algebras: AlgebraPresentation) -> None:
         for g in algebra.generators:
             if not algebra.differential_image(g.name).is_homogeneous(g.degree + 1):
                 raise DegreeMismatch(f"d({g.name}) is not homogeneous of degree {g.degree + 1}")
+
+
+# -- weights -------------------------------------------------------------------
+
+
+@dataclass
+class WeightAssignment:
+    """Generator weights, a plain table until ``validate_weights`` judges
+    it; a monomial's weight is the sum of its factors' weights."""
+
+    algebra: AlgebraPresentation
+    weights: dict
+
+    @classmethod
+    def from_generators(cls, algebra: AlgebraPresentation) -> "WeightAssignment":
+        """The weights the generators carry; a generator without one is
+        left out (a missing weight that ``validate_weights`` reports)."""
+        return cls(algebra, {g.name: g.weight for g in algebra.generators if g.weight is not None})
+
+    def weight_of_monomial(self, m: Monomial) -> int:
+        return sum(self.weights[n] * e for n, e in m.factors)
+
+    def require_valid(self) -> "WeightAssignment":
+        """This assignment, or ``WeightsMissing`` carrying the report."""
+        report = validate_weights(self)
+        if not report.ok:
+            raise WeightsMissing(f"weights invalid: {report}")
+        return self
+
+
+@dataclass
+class WeightIssue:
+    generator: str
+    detail: str
+
+    def __str__(self):
+        return f"{self.generator}: {self.detail}"
+
+
+class WeightReport(ValidationReport):
+    valid = "weights valid: every differential image is weight-homogeneous"
+
+
+def validate_weights(assignment: WeightAssignment) -> WeightReport:
+    """Report every name that is not a generator and every generator with no
+    weight or one that is not a positive ``int``; when there are none,
+    every term of a d(g) whose weight is not the weight of g."""
+    algebra = assignment.algebra
+    issues = [WeightIssue(n, "not a generator") for n in assignment.weights if n not in algebra._by_name]
+    for g in algebra.generators:
+        w = assignment.weights.get(g.name)
+        if w is None:
+            issues.append(WeightIssue(g.name, "no weight assigned"))
+        elif isinstance(w, bool) or not isinstance(w, int):
+            issues.append(WeightIssue(g.name, f"weight {w!r} is not an int"))
+        elif w < 1:
+            issues.append(WeightIssue(g.name, f"weight {w} is not positive"))
+    if issues:
+        return WeightReport(issues)
+    for g in algebra.generators:
+        w = assignment.weights[g.name]
+        for m in algebra.differential_image(g.name).terms:
+            mw = assignment.weight_of_monomial(m)
+            if mw != w:
+                issues.append(
+                    WeightIssue(g.name, f"term {m} of d({g.name}) has weight {mw}, not the weight {w} of {g.name}")
+                )
+    return WeightReport(issues)
 
 
 # -- morphisms -------------------------------------------------------------------

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import corpus
-from .algebra import AlgebraPresentation, Morphism, validate_presentation
+from .algebra import AlgebraPresentation, Morphism, WeightAssignment, validate_presentation
 from .classify import _equivalence_group, classify_homotopy_set
 from .cohomology import cohomology_at_degree, weight_split_cohomology
 from .cylinder import Homotopy
@@ -144,6 +144,8 @@ def cmd_check(args) -> int:
 
 def cmd_cohomology(args) -> int:
     algebra = _load_valid_presentation(args.file)
+    if args.weights:
+        WeightAssignment.from_generators(algebra).require_valid()
     degrees = {}
     human = []
     for n in range(0, args.max_degree + 1):
@@ -153,8 +155,6 @@ def cmd_cohomology(args) -> int:
             "representatives": [element_to_json(r) for r in result.representatives],
         }
         if args.weights:
-            if not algebra.has_weights():
-                raise CliFailure(EXIT_PRECONDITION, "algebra carries no weights")
             split = weight_split_cohomology(algebra, n) if n >= 1 else {}
             entry["weight_split"] = {
                 str(i): [element_to_json(r) for r in reps] for i, reps in split.items()

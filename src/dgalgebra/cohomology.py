@@ -3,6 +3,7 @@
 Representatives are canonical: the reduced echelon basis of the cocycles
 that are 0 at every B^n pivot, from one elimination of d_n, so the same
 presentation always yields the same representatives, in the same order.
+The weight split reads weights only through ``algebra.WeightAssignment``.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraPresentation, Element, Morphism, _add_term, _by_index, _check_int, _derivation_vectors
-from .errors import DegreeMismatch, NotACocycle, PreconditionViolated, PresentationMismatch, WeightsMissing
+from .algebra import AlgebraPresentation, Element, Morphism, WeightAssignment
+from .algebra import _add_term, _by_index, _check_int, _derivation_vectors
+from .errors import DegreeMismatch, NotACocycle, PreconditionViolated, PresentationMismatch
 from .linalg import RationalMatrix, kernel_rows, reduce_mod_rows, rref, rref_solve
 
 
@@ -180,38 +182,22 @@ def induced_map_is_isomorphism(f: Morphism, n: int) -> bool:
     return not matrix or len(rref(RationalMatrix.from_rows(matrix))[1]) == len(matrix)
 
 
-def monomial_weight(algebra: AlgebraPresentation, m) -> int:
-    w = 0
-    for g, e in zip(m.generators, m.exponents):
-        if e:
-            if g.weight is None:
-                raise WeightsMissing(f"generator {g.name} has no weight")
-            w += g.weight * e
-    return w
-
-
 def weight_split_cohomology(
     algebra: AlgebraPresentation, n: int
 ) -> Dict[int, List[Element]]:
     """Split H^n by second degree i = weight - n.
 
-    Requires a full weight assignment with weight-homogeneous d(g).  Then
-    d is block-diagonal by weight, so every canonical H^n representative is
-    weight-homogeneous and the split groups them by weight, in ascending
-    order.  For n >= 1 and positive weights only i > -n occurs.
+    The generators' weights must pass ``validate_weights``, else
+    ``WeightsMissing``.  Then d is block-diagonal by weight, so every
+    canonical H^n representative is weight-homogeneous and the split
+    groups them by ``weight_of_monomial``, in ascending order.  For n >= 1
+    and positive weights only i > -n occurs.
     """
     _check_int("n", n)
-    if not algebra.has_weights():
-        raise WeightsMissing("all generators need weights for a weight split")
-    for g in algebra.generators:
-        for m in algebra.differential_image(g.name).terms:
-            if monomial_weight(algebra, m) != g.weight:
-                raise WeightsMissing(
-                    f"d({g.name}) is not homogeneous of weight {g.weight}: term {m}"
-                )
+    assignment = WeightAssignment.from_generators(algebra).require_valid()
     out: Dict[int, List[Element]] = {}
     for rep in cohomology_at_degree(algebra, n).representatives:
-        weights = {monomial_weight(algebra, m) for m in rep.terms}
+        weights = {assignment.weight_of_monomial(m) for m in rep.terms}
         if len(weights) != 1:
             raise PreconditionViolated(
                 f"internal inconsistency: representative {rep} is not weight-homogeneous"
@@ -243,7 +229,6 @@ class CohomologyClass:
     algebra: AlgebraPresentation
     degree: int
     representative: Element
-    weight: Optional[int] = None
 
     def __post_init__(self):
         if not self.algebra.d(self.representative).is_zero():

@@ -7,6 +7,8 @@ elimination over Q, ``_rref``, works on primitive integer rows and divides
 by the pivots only when it emits the reduced rows, so its results are the
 same ``Fraction`` rows as an elimination over ``Fraction`` without the
 gcd work of rational arithmetic at every step.
+Inputs pass ``algebra._as_rational``, so a float raises ``TypeError``
+instead of entering as a binary fraction; outputs are ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .algebra import _as_rational
 from .errors import (
     DimensionMismatch,
     NonRationalRoot,
@@ -39,7 +42,7 @@ class RationalMatrix:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise DimensionMismatch(f"entry ({i},{j}) outside {rows}x{cols}")
-                v = Fraction(v)
+                v = Fraction(_as_rational(v))
                 if v:
                     self.entries[(i, j)] = v
 
@@ -223,7 +226,7 @@ def rref_solve(
     outside the column space.  The particular solution sets all free
     variables to zero, which makes witnesses canonical.
     """
-    b = [Fraction(v) for v in b]
+    b = [_as_rational(v) for v in b]
     if len(b) != matrix.rows:
         raise DimensionMismatch("right-hand side has wrong length")
     n = matrix.cols
@@ -262,7 +265,7 @@ def row_space_basis(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], L
     if not rows:
         return [], []
     n = len(rows[0])
-    reduced, pivots = _rref([{j: Fraction(v) for j, v in enumerate(r) if v} for r in rows])
+    reduced, pivots = _rref([{j: _as_rational(v) for j, v in enumerate(r) if v} for r in rows])
     return [[row.get(j, _ZERO) for j in range(n)] for row in reduced], pivots
 
 
@@ -417,14 +420,14 @@ class MultiplicativeSystem:
 
     @classmethod
     def make(cls, unknowns: Sequence[str], equations: Iterable) -> "MultiplicativeSystem":
-        eqs = tuple((tuple(int(e) for e in exps), Fraction(c)) for exps, c in equations)
+        eqs = tuple((tuple(int(e) for e in exps), Fraction(_as_rational(c))) for exps, c in equations)
         return cls(tuple(unknowns), eqs)
 
     def satisfied_by(self, values: Sequence[Fraction]) -> bool:
         for exps, const in self.equations:
             acc = Fraction(1)
             for v, e in zip(values, exps):
-                acc *= Fraction(v) ** e
+                acc *= Fraction(_as_rational(v)) ** e
             if acc != const:
                 return False
         return True

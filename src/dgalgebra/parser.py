@@ -21,7 +21,9 @@ raising; semantic conditions such as minimality live in
 ``validate_presentation``, not here.  Contradictory input is a diagnostic,
 never a silent override: a second ``d`` line or image line for one
 generator, a repeated ``weight`` or ``stage`` option, and an unknown that
-is declared twice or named like a target generator.
+is declared twice or named like a target generator.  A header line
+(``algebra``, ``morphism``, ``unknown``) with a missing or an extra token
+sets nothing.
 
 Expressions are evaluated in plain ``Element`` arithmetic, and in
 ``SymbolicElement`` arithmetic (``Poly`` coefficients) only in a morphism
@@ -341,11 +343,7 @@ def parse_presentation(text: str) -> PresentationParse:
         if head.kind != "ident":
             diagnostics.append(Diagnostic(line_no, head.column, "expected a keyword"))
         elif head.text == "algebra":
-            if not _fits(tokens, "ident"):
-                diagnostics.append(Diagnostic(line_no, head.column, "usage: algebra <name>"))
-            elif tokens[2].kind != "end":
-                diagnostics.append(_trailing(tokens[2], line_no, "algebra <name>"))
-            else:
+            if _header(tokens, "algebra <name>", diagnostics, "ident"):
                 name = tokens[1].text
         elif head.text == "generator":
             spec = _parse_generator_line(tokens, line_no, diagnostics)
@@ -383,9 +381,19 @@ def parse_presentation(text: str) -> PresentationParse:
     return PresentationParse(algebra.seal(), diagnostics)
 
 
-def _trailing(token: Token, line_no: int, usage: str) -> Diagnostic:
-    """The diagnostic for a token after the last field of a header line."""
-    return Diagnostic(line_no, token.column, f"unexpected token {token.text!r}; usage: {usage}")
+def _header(tokens: List[Token], usage: str, diagnostics, *words: str) -> bool:
+    """Whether a header line is its keyword followed by exactly ``words``
+    (as for ``_fits``).  If not, the line must set nothing; its one
+    diagnostic is the usage, at the keyword for a line that does not fit
+    and at the first extra token for one that fits and goes on."""
+    if not _fits(tokens, *words):
+        diagnostics.append(Diagnostic(tokens[0].line, tokens[0].column, f"usage: {usage}"))
+        return False
+    extra = tokens[len(words) + 1]
+    if extra.kind != "end":
+        diagnostics.append(Diagnostic(extra.line, extra.column, f"unexpected token {extra.text!r}; usage: {usage}"))
+        return False
+    return True
 
 
 def _parse_generator_line(tokens, line_no, diagnostics) -> Optional[Generator]:
@@ -459,26 +467,19 @@ def parse_morphism(
     for line_no, tokens in _lines(text, diagnostics):
         head = tokens[0]
         if head.text == "morphism":
-            if _fits(tokens, "ident", ":", "ident", "->", "ident"):
-                if tokens[6].kind != "end":
-                    diagnostics.append(_trailing(tokens[6], line_no, "morphism <name> : <source> -> <target>"))
+            usage = "morphism <name> : <source> -> <target>"
+            if _header(tokens, usage, diagnostics, "ident", ":", "ident", "->", "ident"):
                 name, src_name, tgt_name = tokens[1].text, tokens[3].text, tokens[5].text
                 for side, token, algebra in (("source", tokens[3], source), ("target", tokens[5], target)):
                     if algebra.label and token.text != algebra.label:
                         diagnostics.append(Diagnostic(
                             line_no, token.column, f"{side} {token.text!r} does not match algebra {algebra.label!r}"
                         ))
-            else:
-                diagnostics.append(
-                    Diagnostic(line_no, head.column, "usage: morphism <name> : <source> -> <target>")
-                )
         elif head.text == "unknown":
             unknown = tokens[1]
-            if not _fits(tokens, "ident"):
-                diagnostics.append(Diagnostic(line_no, head.column, "usage: unknown <id>"))
-            elif tokens[2].kind != "end":
-                diagnostics.append(_trailing(tokens[2], line_no, "unknown <id>"))
-            elif unknown.text in unknowns:
+            if not _header(tokens, "unknown <id>", diagnostics, "ident"):
+                continue
+            if unknown.text in unknowns:
                 diagnostics.append(Diagnostic(line_no, unknown.column, f"unknown {unknown.text} declared twice"))
             elif unknown.text in target._by_name:
                 diagnostics.append(

@@ -1,12 +1,13 @@
 """Positive weight gradings, scaling automorphisms, and the machinery that
 turns one nontrivial homotopy class into infinitely many.
 
-A weight assignment is multiplicative by construction (monomial weights add)
-and valid when every differential image is weight-homogeneous of its
-generator's weight.  A valid assignment yields, for every nonzero rational
-lambda, the diagonal automorphism scaling each generator by
-lambda**weight(v); on a degree-n class of second degree i = weight - n the
-induced map is multiplication by lambda**(n + i).
+The weight layer lives in ``algebra`` and is re-exported here: a
+``WeightAssignment`` is valid when ``validate_weights`` finds every
+generator weighted by a positive ``int`` and every differential image
+weight-homogeneous of its generator's weight.  A valid assignment yields,
+for every nonzero rational lambda, the diagonal automorphism scaling each
+generator by lambda**weight(v); on a degree-n class of second degree
+i = weight - n the induced map is multiplication by lambda**(n + i).
 
 Given a map f that is not nullhomotopic and weights on either side, the
 composites with powers of the scaling automorphism are pairwise
@@ -24,75 +25,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraPresentation, Element, Morphism, _as_rational, _check_int, compose
+from .algebra import WeightAssignment, WeightIssue, WeightReport, validate_weights  # noqa: F401 (re-exported)
 from .cohomology import is_coboundary
-from .errors import PreconditionViolated, WeightsMissing, ZeroLambda
+from .errors import PreconditionViolated, ZeroLambda
 from .linalg import RationalMatrix, rref_solve
 from .obstruction import Filtration, decide_nullhomotopic
-
-
-@dataclass
-class WeightAssignment:
-    algebra: AlgebraPresentation
-    weights: Dict[str, int]
-
-    @classmethod
-    def from_generators(cls, algebra: AlgebraPresentation) -> "WeightAssignment":
-        weights = {}
-        for g in algebra.generators:
-            if g.weight is None:
-                raise WeightsMissing(f"generator {g.name} carries no weight")
-            weights[g.name] = g.weight
-        return cls(algebra, weights)
-
-    def weight_of_monomial(self, m) -> int:
-        return sum(self.weights[n] * e for n, e in m.factors)
-
-
-@dataclass
-class WeightIssue:
-    generator: str
-    detail: str
-
-    def __str__(self):
-        return f"{self.generator}: {self.detail}"
-
-
-@dataclass
-class WeightReport:
-    issues: List[WeightIssue]
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def __str__(self):
-        if self.ok:
-            return "weights valid: every differential image is weight-homogeneous"
-        return "\n".join(str(i) for i in self.issues)
-
-
-def validate_weights(assignment: WeightAssignment) -> WeightReport:
-    issues = []
-    algebra = assignment.algebra
-    for g in algebra.generators:
-        w = assignment.weights.get(g.name)
-        if w is None:
-            issues.append(WeightIssue(g.name, "no weight assigned"))
-            continue
-        if w < 1:
-            issues.append(WeightIssue(g.name, f"weight {w} is not positive"))
-            continue
-        img = algebra.differential_image(g.name)
-        for m in img.terms:
-            mw = assignment.weight_of_monomial(m)
-            if mw != w:
-                issues.append(
-                    WeightIssue(
-                        g.name,
-                        f"term {m} of d({g.name}) has weight {mw}, expected {w}",
-                    )
-                )
-    return WeightReport(issues)
 
 
 def phi_lambda(assignment: WeightAssignment, lam) -> Morphism:
@@ -104,9 +41,7 @@ def phi_lambda(assignment: WeightAssignment, lam) -> Morphism:
     lam = _as_rational(lam)
     if lam == 0:
         raise ZeroLambda("the scaling parameter must be nonzero")
-    report = validate_weights(assignment)
-    if not report.ok:
-        raise WeightsMissing(f"weights invalid: {report}")
+    assignment.require_valid()
     algebra = assignment.algebra
     images = {
         g.name: algebra.gen(g.name) * (lam ** assignment.weights[g.name])
@@ -270,11 +205,7 @@ def verify_infinite_family(f: Morphism, side: str, lam, count: int) -> InfiniteF
         raise PreconditionViolated("lambda must avoid 0, 1 and -1")
     if side not in ("target", "source"):
         raise PreconditionViolated("side must be 'target' or 'source'")
-    weighted = f.target if side == "target" else f.source
-    assignment = WeightAssignment.from_generators(weighted)
-    report = validate_weights(assignment)
-    if not report.ok:
-        raise WeightsMissing(f"weights invalid on the {side}: {report}")
+    assignment = WeightAssignment.from_generators(f.target if side == "target" else f.source).require_valid()
 
     verdict = decide_nullhomotopic(f, Filtration.by_degree(f.source))
     if verdict.nullhomotopic:

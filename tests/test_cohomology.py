@@ -261,7 +261,7 @@ def test_weight_split_rejects_weight_inhomogeneous_differential():
         "generator u : 2 weight 1\ngenerator v : 3 weight 5\nd v = u^2\n"
     ).presentation
     assert cohomology_at_degree(A, 4).dimension == 0
-    with pytest.raises(WeightsMissing):
+    with pytest.raises(WeightsMissing, match=r"term u\^2 of d\(v\) has weight 2, not the weight 5 of v"):
         weight_split_cohomology(A, 4)
 
 

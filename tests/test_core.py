@@ -245,6 +245,7 @@ def test_canonical_form_idempotent(ex51):
 
 
 def test_floats_are_rejected_at_every_scalar_entry_point(ex51):
+    from dgalgebra.linalg import MultiplicativeSystem, RationalMatrix, row_space_basis, rref_solve
     from dgalgebra.symbolic import Poly, SymbolicElement
 
     t = Poly.variable("t")
@@ -259,10 +260,26 @@ def test_floats_are_rejected_at_every_scalar_entry_point(ex51):
         lambda: 0.25 * t,
         lambda: t.evaluate({"t": 0.5}),
         lambda: SymbolicElement.from_element(ex51.gen("x1")) * 0.5,
+        lambda: RationalMatrix(1, 1, {(0, 0): 0.1}),
+        lambda: RationalMatrix.from_rows([[1, 0.1]]),
+        lambda: rref_solve(RationalMatrix.from_rows([[1]]), [0.1]),
+        lambda: row_space_basis([[1, 0.5]]),
+        lambda: MultiplicativeSystem.make(["a"], [((2,), 0.25)]),
+        lambda: MultiplicativeSystem.make(["a"], [((1,), 2)]).satisfied_by([2.0]),
     ]
     for call in calls:
         with pytest.raises(TypeError):
             call()
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [(("x", 2.0), "degree"), (("x", "2"), "degree"), (("x", True), "degree"),
+     (("x", 2, 1.5), "weight"), (("x", 2, True), "weight"), (("x", 2, None, 1.5), "stage")],
+)
+def test_generator_fields_must_be_ints(spec, field):
+    with pytest.raises(PreconditionViolated, match=f"generator x: {field} must be an int"):
+        AlgebraPresentation.build([spec])
 
 
 def test_integral_coefficients_are_ints(ex51):

@@ -176,24 +176,32 @@ MORPHISM_ENDS = {
 def test_mutated_corpus_files_give_diagnostics_or_dga_errors(mutated):
     """Format characters inserted into and deleted from the corpus files
     give diagnostics, a ``DgaError`` or an answer: never another exception.
-    The CLI maps each failure to a documented exit code, with no traceback."""
+    The CLI maps each failure to a documented exit code, with no traceback:
+    ``check`` and ``cohomology`` on a presentation, and ``nullhomotopic``,
+    ``homotopic`` (against the intact map) and, on ``w_to_x.map``,
+    ``family`` on a morphism file between its corpus ends."""
     name, text = mutated
-    if name.endswith(".map"):
-        source, target = (parse_presentation(corpus.read(n)).presentation for n in MORPHISM_ENDS[name])
-        try:
-            parse_morphism(text, source, target)
-        except errors.DgaError:
-            pass
-        return
-    try:
-        parse_presentation(text)
-    except errors.DgaError:
-        pass
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, name)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        for argv in (["check", path], ["cohomology", path, "--max-degree", "6"]):
+        if name.endswith(".map"):
+            ends = MORPHISM_ENDS[name]
+            source, target = (parse_presentation(corpus.read(n)).presentation for n in ends)
+            try:
+                parse_morphism(text, source, target)
+            except errors.DgaError:
+                pass
+            commands = [["nullhomotopic", *ends, path], ["homotopic", *ends, path, name]]
+            if name == "w_to_x.map":
+                commands.append(["family", *ends, path, "--lambda", "2", "--count", "2"])
+        else:
+            try:
+                parse_presentation(text)
+            except errors.DgaError:
+                pass
+            commands = [["check", path], ["cohomology", path, "--max-degree", "6"]]
+        for argv in commands:
             code, out, err = run_cli(*argv)
             assert code in (0, 2, 3, 4, 5), (argv, code, err)
             assert "Traceback" not in out + err
@@ -772,12 +780,13 @@ def test_cli_precondition_exit_code_for_missing_weights():
 def test_cli_weights_need_weight_homogeneous_differential(tmp_path):
     bad = tmp_path / "bad.dga"
     bad.write_text("algebra bad\ngenerator u : 2 weight 1\ngenerator v : 3 weight 5\nd v = u^2\n")
-    code, out, err = run_cli(
-        "cohomology", str(bad), "--max-degree", "4", "--weights", "--json"
-    )
-    assert code == 4
-    assert out == ""
-    assert "weight 5" in err
+    for max_degree in ("4", "0"):  # checked before the first degree
+        code, out, err = run_cli(
+            "cohomology", str(bad), "--max-degree", max_degree, "--weights", "--json"
+        )
+        assert code == 4
+        assert out == ""
+        assert "weight 5" in err
 
 
 def test_cli_stage_filtration(tmp_path):
@@ -883,10 +892,12 @@ MAP_HEAD = "morphism f : two_stage -> two_stage\n"
          "unexpected token 'junk'; usage: unknown <id>"),
         ("map", "morphism f : two_stage -> two_stage extra\nu = u\nv = v\n", 1, 37,
          "unexpected token 'extra'; usage: morphism <name> : <source> -> <target>"),
+        ("map", "morphism f : a -> b extra\nu = u\nv = v\n", 1, 21,
+         "unexpected token 'extra'; usage: morphism <name> : <source> -> <target>"),
     ],
     ids=[
         "second-d-line", "repeated-option", "second-image", "unknown-is-a-generator", "unknown-twice",
-        "algebra-trailing", "unknown-trailing", "morphism-trailing",
+        "algebra-trailing", "unknown-trailing", "morphism-trailing", "morphism-trailing-sets-no-names",
     ],
 )
 def test_contradictory_input_is_a_positioned_diagnostic(tmp_path, kind, text, line, column, message):

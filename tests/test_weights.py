@@ -9,6 +9,7 @@ from dgalgebra import (
     Morphism,
     PreconditionViolated,
     WeightAssignment,
+    WeightsMissing,
     ZeroLambda,
     cohomology_at_degree,
     compose,
@@ -39,6 +40,32 @@ def test_inhomogeneous_weights_reported(two_stage):
     report = validate_weights(bad)
     assert not report.ok
     assert any(issue.generator == "v" for issue in report.issues)
+
+
+@pytest.mark.parametrize(
+    "weights, issue",
+    [
+        ({"u": Fraction(3, 2), "v": 3}, ("u", "weight Fraction(3, 2) is not an int")),
+        ({"u": 1.5, "v": 3}, ("u", "weight 1.5 is not an int")),
+        ({"u": True, "v": 2}, ("u", "weight True is not an int")),
+        ({"u": "1", "v": 2}, ("u", "weight '1' is not an int")),
+        ({"u": 1, "v": 2, "w": 1}, ("w", "not a generator")),
+        ({"v": 2}, ("u", "no weight assigned")),
+        ({"u": 0, "v": 0}, ("u", "weight 0 is not positive")),
+    ],
+    ids=["fraction", "float", "bool", "str", "not-a-generator", "missing", "zero"],
+)
+def test_validate_weights_reports_each_bad_weight_without_raising(two_stage, weights, issue):
+    report = validate_weights(WeightAssignment(two_stage, weights))
+    assert not report.ok
+    assert (report.issues[0].generator, report.issues[0].detail) == issue
+
+
+def test_phi_lambda_raises_weights_missing_with_the_report(two_stage):
+    with pytest.raises(WeightsMissing, match="u: weight 1.5 is not an int"):
+        phi_lambda(WeightAssignment(two_stage, {"u": 1.5, "v": 3}), 2)
+    with pytest.raises(WeightsMissing, match="w: not a generator"):
+        phi_lambda(WeightAssignment(two_stage, {"u": 1, "v": 2, "w": 1}), 2)
 
 
 def test_weight_search_certifies_two_stage(two_stage):
