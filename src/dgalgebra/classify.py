@@ -129,8 +129,6 @@ def constraint_system(ansatz: UnknownMorphism) -> ConstraintSystem:
         diff = lhs - rhs
         for m in sorted(diff.terms, key=ansatz.target.monomial_sort_key):
             poly = _normalize_poly(diff.terms[m])
-            if poly.is_zero():
-                continue
             key = poly.canonical()
             if key in seen:
                 seen[key].origins.append((g.name, m))
@@ -362,7 +360,7 @@ def solve_structured(system: ConstraintSystem) -> List[SolutionFamily]:
     split_vars = sorted(
         {v for p in reduced for v in p.variables()}, key=order_index.__getitem__
     )
-    assignments = _case_split(reduced, split_vars) if (reduced or split_vars) else [{}]
+    assignments = _case_split(reduced, split_vars)
 
     families: List[SolutionFamily] = []
     for assign in assignments:

@@ -33,6 +33,12 @@ extend (and the bars give a full homotopy) or the first obstructed stage
 yields a map f', the end of the homotopy with the bars so far, homotopic to
 f and vanishing below the stage, whose per-generator classes are the
 failure certificate.  Both outcomes are exact and machine-checked.
+
+Every entry point that takes maps checks them in one place, ``_check_maps``
+(``decide_nullhomotopic`` checks f against itself).  A generator of degree
+below 2 is refused where a cylinder is built, not in ``_check_maps``, so
+step (a) of ``decide_homotopic`` answers first: a difference of induced
+maps is a "no" for any DGA, with or without a cylinder.
 """
 
 from __future__ import annotations
@@ -141,14 +147,14 @@ def _obstruction_classes(
     return classes
 
 
-def _check_maps(f: Morphism, g: Morphism, decomposition: ObstructionDecomposition):
-    """f and g are chain maps out of the decomposed algebra into one target."""
-    algebra = decomposition.algebra
-    if f.source != algebra or g.source != algebra:
+def _check_maps(f: Morphism, g: Morphism, source: AlgebraPresentation):
+    """f and g are chain maps out of ``source`` into one target, and both
+    ends are graded; the one precondition check of every two-map entry."""
+    if f.source != source or g.source != source:
         raise PreconditionViolated("maps must be defined on the decomposed algebra")
     if f.target != g.target:
         raise PreconditionViolated("maps must share a target")
-    require_graded(algebra, f.target)
+    require_graded(source, f.target)
     if not f.verified or not g.verified:
         raise PreconditionViolated("both maps must be chain maps")
 
@@ -159,7 +165,7 @@ def _v0_bars(
     """H's bars on V0, once the preconditions of a homotopy on V0 hold: H
     lives on the decomposed algebra's cylinder, maps into the target of f
     and g, has zero bars on V1, and starts at f and ends at g on V0."""
-    _check_maps(f, g, decomposition)
+    _check_maps(f, g, decomposition.algebra)
     if h.target != f.target:
         raise PreconditionViolated("maps and homotopy must share a target")
     if h.cylinder.base != decomposition.algebra:
@@ -224,7 +230,7 @@ def decide_homotopic_zero_restriction(
     homotopy between the restrictions, so the zero homotopy decides: "yes"
     with the extended homotopy, or "no" with the obstruction as certificate.
     """
-    _check_maps(f, g, decomposition)
+    _check_maps(f, g, decomposition.algebra)
     v0 = decomposition.v0_ordered()
     for name in v0:
         if not f.images[name].is_zero() or not g.images[name].is_zero():
@@ -351,9 +357,7 @@ def decide_nullhomotopic(f: Morphism, filtration: Filtration) -> NullhomotopyRes
     if filtration.algebra != f.source:
         raise InvalidFiltration("filtration belongs to a different presentation")
     filtration.validate()
-    require_graded(f.source, f.target)
-    if not f.verified:
-        raise PreconditionViolated("decide_nullhomotopic needs a chain map")
+    _check_maps(f, f, f.source)
     source = f.source
     zero = Morphism.zero_map(source, f.target)
     homotopy, stage, value = _extend_by_stages(f, zero, filtration.in_order(), {})
@@ -413,11 +417,7 @@ def decide_homotopic(f: Morphism, g: Morphism) -> HomotopyDecision:
     later stage may be an artifact of earlier witness choices, so exhaustion
     returns "undetermined" with the stage reached.
     """
-    if f.source != g.source or f.target != g.target:
-        raise PreconditionViolated("maps must share source and target")
-    require_graded(f.source, f.target)
-    if not f.verified or not g.verified:
-        raise PreconditionViolated("both maps must be chain maps")
+    _check_maps(f, g, f.source)
     source, target = f.source, f.target
     if f.images == g.images:
         return HomotopyDecision("yes", homotopy=Homotopy.constant(f), detail="equal maps")

@@ -59,9 +59,12 @@ class WeightSearchResult:
 
     The system is homogeneous and linear in the generator weights; its
     solution space decides whether any positive weight assignment exists.
-    ``certificate`` holds an integral positive assignment when one is found;
-    ``conclusive`` is False only in the (rare) case of a multi-dimensional
-    solution space where the bounded positivity search failed.
+    ``certificate`` holds an integral positive assignment when one is found.
+    ``conclusive`` is False only when the solution space has dimension 2 or
+    more and the bounded walk over integer combinations of its basis found
+    no positive point; on dimension 0 or 1 the walk is exhaustive, since a
+    line holds a positive point only if a multiple of its one basis vector
+    by some c in -10..10 is positive.
     """
 
     algebra: AlgebraPresentation
@@ -82,7 +85,9 @@ def find_weight_assignment(algebra: AlgebraPresentation) -> WeightSearchResult:
 
     Builds one linear equation per (generator, differential term):
     sum of factor weights = generator weight.  A strictly positive point of
-    the rational solution space scales to a positive integral assignment.
+    the rational solution space, found by one walk over small integer
+    combinations of the kernel basis in every dimension, scales to a
+    positive integral assignment.
     """
     names = algebra.generator_names()
     index = {n: i for i, n in enumerate(names)}
@@ -96,23 +101,9 @@ def find_weight_assignment(algebra: AlgebraPresentation) -> WeightSearchResult:
     _, kernel = rref_solve(RationalMatrix(rows, len(names), entries), [0] * rows)
 
     dim = len(kernel)
-    certificate = None
-    conclusive = True
-    if dim == 0:
-        pass
-    elif dim == 1:
-        ray = kernel[0]
-        for direction in (ray, [-v for v in ray]):
-            if all(v > 0 for v in direction):
-                certificate = _integralise(names, direction)
-                break
-    else:
-        found = _search_positive_combination(kernel, bound=10)
-        if found is not None:
-            certificate = _integralise(names, found)
-        else:
-            conclusive = False
-
+    found = _search_positive_combination(kernel, bound=10) if kernel else None
+    certificate = None if found is None else _integralise(names, found)
+    conclusive = dim < 2 or found is not None
     if certificate is not None:
         trial = WeightAssignment(algebra, certificate)
         if not validate_weights(trial).ok:
@@ -215,40 +206,35 @@ def verify_infinite_family(f: Morphism, side: str, lam, count: int) -> InfiniteF
     failure = verdict.failure
     f_prime = failure.modified_map
     stage = failure.stage
-    witnesses = failure.obstruction.nonzero_generators()
 
+    # A weight-wt component x of f'(w) contributes (lam**(i*wt) -
+    # lam**(j*wt)) * x to the obstruction of composites i and j, so the first
+    # non-bounding component separates every pair and is searched for once.
+    # On a weighted target the components are those of f'(w); on a weighted
+    # source f'(w) is one component, of the weight of w.
+    target = f_prime.target
+    w, wt, comp = next(
+        (
+            (w, wt, comp)
+            for w in failure.obstruction.nonzero_generators()
+            for wt, comp in sorted(
+                _weight_components(assignment, f_prime.images[w]).items()
+                if side == "target"
+                else [(assignment.weights[w], f_prime.images[w])]
+            )
+            if is_coboundary(target, comp) is None
+        ),
+        ("", 0, None),  # no separating component: every factor below is 0
+    )
     pairs = []
     for i in range(count + 1):
         for j in range(i + 1, count + 1):
-            pair = _certify_pair(assignment, side, f_prime, witnesses, lam, i, j)
-            pairs.append(pair)
+            # both composites vanish wherever f' does, so the pairwise
+            # obstruction with the zero homotopy is the scaled component
+            factor = lam ** (i * wt) - lam ** (j * wt)
+            distinct = factor != 0 and is_coboundary(target, comp * factor) is None
+            pairs.append(FamilyPair(i, j, w, wt, factor, distinct))
     return InfiniteFamilyReport(side, lam, count, stage, f_prime, pairs)
-
-
-def _certify_pair(assignment, side, f_prime, witnesses, lam, i, j) -> FamilyPair:
-    """Find a generator and weight component separating composites i and j.
-
-    Both composites vanish wherever f_prime does, so the pairwise
-    obstruction with the zero homotopy is [h_i(w) - h_j(w)] per generator.
-    A weight-w component x_w of f_prime(w) contributes
-    (lam**(i*w) - lam**(j*w)) * x_w; a non-bounding component certifies
-    distinctness, with the scale factor reported exactly.  On a weighted
-    target the components are those of f_prime(w); on a weighted source
-    f_prime(w) is one component, of the weight of w.
-    """
-    target = f_prime.target
-    for w in witnesses:
-        base = f_prime.images[w]
-        if side == "target":
-            components = _weight_components(assignment, base)
-        else:
-            components = {assignment.weights[w]: base}
-        for wt, comp in sorted(components.items()):
-            if is_coboundary(target, comp) is None:
-                factor = lam ** (i * wt) - lam ** (j * wt)
-                distinct = factor != 0 and is_coboundary(target, comp * factor) is None
-                return FamilyPair(i, j, w, wt, factor, distinct)
-    return FamilyPair(i, j, "", 0, 0, False)
 
 
 def scaled_composite(

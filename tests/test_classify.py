@@ -248,6 +248,37 @@ def test_classification_representatives(ex53):
     assert involution in reps
 
 
+@pytest.mark.parametrize(
+    "verdict, family_indices, unresolved, kind, class_count, exit_code",
+    [
+        ("yes", [[0, 1]], [], "finite", 1, 0),
+        ("undetermined", [[0], [1]], [(1, 0)], "incomplete", None, 5),
+    ],
+)
+def test_placement_merges_on_yes_and_records_an_undetermined_pair(
+    ex52, monkeypatch, verdict, family_indices, unresolved, kind, class_count, exit_code
+):
+    # ex52 has two families, so the one comparison is the second family's
+    # representative against the first class's
+    from dgalgebra.cli import main as cli_main
+    from dgalgebra.obstruction import HomotopyDecision
+
+    calls = []
+
+    def decide(f, g):
+        calls.append((f, g))
+        return HomotopyDecision(verdict)
+
+    monkeypatch.setattr(classify, "decide_homotopic", decide)
+    result = classify_homotopy_set(ex52, ex52)
+    reps = [family.representative() for family in result.families]
+    assert calls == [(reps[1], reps[0])]
+    assert [c.family_indices for c in result.classes] == family_indices
+    assert result.unresolved_pairs == unresolved
+    assert (result.kind, result.class_count) == (kind, class_count)
+    assert cli_main(["classify", "ex52.dga", "ex52.dga"]) == exit_code
+
+
 def test_classification_infinite_for_free_target(free_even):
     target = AlgebraPresentation.build([("x", 2)], label="free2")
     result = classify_homotopy_set(free_even, target)

@@ -98,6 +98,16 @@ def test_a_degree_one_generator_is_named_at_every_homotopy_entry_point(entry):
         entry(Morphism.identity(A))
 
 
+def test_a_degree_one_generator_still_gets_a_no_from_the_induced_maps():
+    # the degree check is made where a cylinder is built, so step (a) of
+    # decide_homotopic answers first; its "no" is sound for any DGA: on
+    # Lambda(a), |a| = 1, the identity keeps the class of a and 0 kills it
+    A = AlgebraPresentation.build([("a", 1)])
+    decision = decide_homotopic(Morphism.identity(A), Morphism.zero_map(A, A))
+    assert decision.no
+    assert (decision.certificate["kind"], decision.certificate["degree"]) == ("induced-map", 1)
+
+
 def test_reach_is_the_closure_of_the_differential_support():
     # d(c) names b, p and e but not a, which b and p reach; d(s) = t points
     # forward in generator order and d(t) points back at s

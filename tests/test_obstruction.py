@@ -597,3 +597,64 @@ def test_deciders_reject_a_misgraded_differential(decide):
     assert f.verified
     with pytest.raises(DegreeMismatch, match=r"d\(v\)"):
         decide(f)
+
+
+# one precondition violated at a time, on two_stage against free_even:
+# (the argument replaced, its replacement, the error, its message)
+VIOLATIONS = {
+    "other-source": ("g", lambda a, b: Morphism.zero_map(b, a), PreconditionViolated, "must be defined on"),
+    "other-target": ("g", lambda a, b: Morphism.zero_map(a, b), PreconditionViolated, "must share a target"),
+    "not-a-chain-map": (
+        "f",
+        lambda a, b: Morphism(a, a, {"u": a.gen("u")}),  # d(f(v)) = 0, f(d v) = u^2
+        PreconditionViolated,
+        "must be chain maps",
+    ),
+    "homotopy-into-another-target": (
+        "h",
+        lambda a, b: Homotopy.constant(Morphism.zero_map(a, b)),
+        PreconditionViolated,
+        "maps and homotopy must share a target",
+    ),
+    "filtration-of-another-presentation": (
+        "filtration",
+        lambda a, b: Filtration.by_degree(b),
+        InvalidFiltration,
+        "different presentation",
+    ),
+}
+
+TWO_MAP_ENTRIES = {
+    "decide_homotopic": lambda f, g, h, split, filtration: decide_homotopic(f, g),
+    "decide_nullhomotopic": lambda f, g, h, split, filtration: decide_nullhomotopic(f, filtration),
+    "compute_obstruction": lambda f, g, h, split, filtration: compute_obstruction(f, g, h, split),
+    "extend_to_homotopy": lambda f, g, h, split, filtration: extend_to_homotopy(f, g, h, split),
+    "decide_homotopic_zero_restriction": lambda f, g, h, split, filtration: decide_homotopic_zero_restriction(
+        f, g, split
+    ),
+}
+
+MAPS = ["other-source", "other-target", "not-a-chain-map"]
+
+
+@pytest.mark.parametrize(
+    "entry, violation",
+    [
+        *[(e, v) for e in ("decide_homotopic", "decide_homotopic_zero_restriction") for v in MAPS],
+        *[(e, v) for e in ("compute_obstruction", "extend_to_homotopy") for v in [*MAPS, "homotopy-into-another-target"]],
+        *[("decide_nullhomotopic", v) for v in ("not-a-chain-map", "filtration-of-another-presentation")],
+    ],
+)
+def test_every_two_map_entry_point_rejects_each_violated_precondition(entry, violation, two_stage, free_even):
+    f = Morphism.identity(two_stage)
+    args = {
+        "f": f,
+        "g": f,
+        "h": Homotopy.constant(f),
+        "split": make_decomposition(two_stage, ["v"]),
+        "filtration": Filtration.by_degree(two_stage),
+    }
+    name, replacement, error, message = VIOLATIONS[violation]
+    args[name] = replacement(two_stage, free_even)
+    with pytest.raises(error, match=message):
+        TWO_MAP_ENTRIES[entry](**args)

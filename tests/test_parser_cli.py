@@ -170,6 +170,9 @@ MORPHISM_ENDS = {
     "w_to_x.map": ("free_even.dga", "free_even_weighted.dga"),
 }
 
+# the V0 split that ``obstruction`` is given for each map file
+OBSTRUCTION_V0 = {"ex53_id.map": "x1,x2,y1,y2,y3", "ex53_inv.map": "x1,x2,y1,y2,y3", "w_to_x.map": ""}
+
 
 @given(mutated_corpus_files())
 @settings(max_examples=300)
@@ -177,8 +180,9 @@ def test_mutated_corpus_files_give_diagnostics_or_dga_errors(mutated):
     """Format characters inserted into and deleted from the corpus files
     give diagnostics, a ``DgaError`` or an answer: never another exception.
     The CLI maps each failure to a documented exit code, with no traceback:
-    ``check`` and ``cohomology`` on a presentation, and ``nullhomotopic``,
-    ``homotopic`` (against the intact map) and, on ``w_to_x.map``,
+    ``check``, ``cohomology``, ``selfmaps`` and ``classify`` (against
+    itself) on a presentation, and ``nullhomotopic``, ``homotopic`` and
+    ``obstruction`` (against the intact map) and, on ``w_to_x.map``,
     ``family`` on a morphism file between its corpus ends."""
     name, text = mutated
     with tempfile.TemporaryDirectory() as folder:
@@ -192,7 +196,11 @@ def test_mutated_corpus_files_give_diagnostics_or_dga_errors(mutated):
                 parse_morphism(text, source, target)
             except errors.DgaError:
                 pass
-            commands = [["nullhomotopic", *ends, path], ["homotopic", *ends, path, name]]
+            commands = [
+                ["nullhomotopic", *ends, path],
+                ["homotopic", *ends, path, name],
+                ["obstruction", *ends, path, name, "--v0", OBSTRUCTION_V0[name]],
+            ]
             if name == "w_to_x.map":
                 commands.append(["family", *ends, path, "--lambda", "2", "--count", "2"])
         else:
@@ -200,7 +208,12 @@ def test_mutated_corpus_files_give_diagnostics_or_dga_errors(mutated):
                 parse_presentation(text)
             except errors.DgaError:
                 pass
-            commands = [["check", path], ["cohomology", path, "--max-degree", "6"]]
+            commands = [
+                ["check", path],
+                ["cohomology", path, "--max-degree", "6"],
+                ["selfmaps", path],
+                ["classify", path, path],
+            ]
         for argv in commands:
             code, out, err = run_cli(*argv)
             assert code in (0, 2, 3, 4, 5), (argv, code, err)

@@ -84,6 +84,27 @@ def test_weight_search_rejects_corpus_examples(ex51, ex52, ex53):
         assert result.solution_dimension == 0
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_weight_walk_finds_every_weight_one_on_a_free_algebra(k):
+    # d = 0 imposes no equation, so the solution space is all of Q^k and the
+    # first positive combination walked is the sum of the basis vectors
+    A = AlgebraPresentation.build([(f"x{i}", 2) for i in range(k)], label=f"free{k}")
+    result = find_weight_assignment(A)
+    assert result.solution_dimension == k
+    assert result.certificate == {f"x{i}": 1 for i in range(k)}
+    assert result.conclusive and result.universal is True
+    assert validate_weights(WeightAssignment(A, result.certificate)).ok
+
+
+def test_weight_walk_keeps_the_certificates_on_a_line(two_stage, free_even_weighted):
+    # a one-dimensional solution space goes through the same walk as any other
+    for algebra, certificate in ((two_stage, {"u": 1, "v": 2}), (free_even_weighted, {"x": 1})):
+        result = find_weight_assignment(algebra)
+        assert result.solution_dimension == 1
+        assert result.certificate == certificate
+        assert result.conclusive and result.universal is True
+
+
 def test_phi_lambda_identity_at_one(two_stage):
     assignment = WeightAssignment.from_generators(two_stage)
     assert phi_lambda(assignment, 1) == Morphism.identity(two_stage)
