@@ -5,12 +5,17 @@ Conventions fixed by this module and relied on everywhere else:
 * Coefficients are exact: ``int`` where integral and ``fractions.Fraction``
   only where a denominator exists (arithmetic may leave an integral
   ``Fraction``).  Coefficients from outside pass ``_as_rational``; no floats.
-* Generators are totally ordered by ``(degree, name)``.  A monomial is a
-  tuple of exponents over its presentation's generators in that order, so
+* Generators are totally ordered by ``(degree, name)``.  A monomial is
+  identified by one non-negative ``int`` key that packs its exponent of
+  generator ``i`` into the ``_WIDTH``-bit field at bit ``_WIDTH * i``, so
   two equal elements always have identical term dictionaries (canonical
-  form).  Its ``(name, exponent)`` factors and printed text are derived
-  views; monomials of another presentation (a subalgebra, the cylinder)
-  are re-indexed by name, never mixed in one term dict.
+  form).  Its exponent tuple, ``(name, exponent)`` factors and printed text
+  are derived views; monomials of another presentation (a subalgebra, the
+  cylinder) are re-indexed by name, never mixed in one term dict.
+* An exponent is at most its monomial's degree, so keys add without a
+  carry between fields while degrees stay below ``2**_WIDTH``.  Every path
+  that adds or shifts fields checks the result degree first and raises
+  ``PreconditionViolated`` at ``2**_WIDTH`` or beyond.
 * Transposing two adjacent factors of degrees ``p`` and ``q`` multiplies
   a monomial by ``(-1)**(p*q)``.  Consequently an odd-degree generator
   squares to zero, and only inversions between odd factors contribute to
@@ -22,15 +27,15 @@ Conventions fixed by this module and relied on everywhere else:
 Every sum, Koszul product, power, derivation and multiplicative extension
 of generator images on term dicts ``{Monomial: coefficient}`` goes through
 one kernel, the private ``_add_terms``, ``_mul_terms``, ``_power``,
-``_derive_terms`` and ``_extend_terms`` below, on exponent vectors: a
-product adds vectors, and a derivation puts the vector of each term of
-``theta(g)`` in place of one copy of ``g``.  ``normalize_monomial`` is only
-the entry point for raw ``(name, exponent)`` lists.  The kernel uses only
-``+``, ``*`` (also by an ``int``), unary ``-`` and truthiness of the
-coefficients, so ``Element``, ``Morphism`` and the cylinder's ``alpha``
-(rational coefficients) share it with ``symbolic.SymbolicElement`` and
-the generic ansatz (``symbolic.Poly`` coefficients); ``Poly`` reuses its
-sum and power.
+``_derive_terms`` and ``_extend_terms`` below, on keys: a product adds
+two keys, and a derivation puts the key of each term of ``theta(g_i)`` in
+place of one copy of ``g_i`` by ``key - (1 << _WIDTH * i) + image_key``.
+``normalize_monomial`` is only the entry point for raw ``(name, exponent)``
+lists.  The kernel uses only ``+``, ``*`` (also by an ``int``), unary ``-``
+and truthiness of the coefficients, so ``Element``, ``Morphism`` and the
+cylinder's ``alpha`` (rational coefficients) share it with
+``symbolic.SymbolicElement`` and the generic ansatz (``symbolic.Poly``
+coefficients); ``Poly`` reuses its sum and power.
 
 The weight layer lives here too: ``WeightAssignment.weight_of_monomial``
 is the only sum of factor weights, ``validate_weights`` the only judge of
@@ -61,6 +66,11 @@ from .errors import (
 )
 
 Scalar = (int, Fraction)
+
+# The bit width of one exponent field of a monomial key.
+_WIDTH = 32
+_MASK = (1 << _WIDTH) - 1
+_DEGREE_BOUND = 1 << _WIDTH
 
 
 @dataclass(frozen=True)
@@ -99,53 +109,90 @@ class Generator:
 class Monomial:
     """A canonical monomial of one presentation.
 
-    ``exponents`` holds one exponent per generator of the presentation, in
-    generator order, and ``generators`` is that presentation's generator
-    tuple; an odd generator has exponent 0 or 1.  ``odd`` is the bitmask of
-    the odd generators present (bit ``i`` for generator ``i``).  The unit
-    has all exponents 0 and degree 0.  ``factors``, the printed form and the
-    sort key are derived from the exponents and the generator names.
+    ``key`` packs its exponent of generator ``i`` (in generator order) into
+    bits ``_WIDTH * i`` to ``_WIDTH * (i + 1) - 1``, and ``generators`` is
+    that presentation's generator tuple; an odd generator has exponent 0 or
+    1.  ``odd`` is the bitmask of the odd generators present (bit ``i`` for
+    generator ``i``).  The unit has key 0 and degree 0.  Only paths that
+    keep the degree below ``2**_WIDTH`` add keys, so fields never carry.
+    ``exponents`` (one per generator, unpacked on first read and kept),
+    ``factors``, the printed form and the sort key are derived views.
     """
 
-    __slots__ = ("exponents", "degree", "odd", "generators", "_hash")
+    __slots__ = ("key", "degree", "odd", "generators", "_exponents")
 
-    def __init__(self, exponents: tuple, degree: int, odd: int, generators: tuple):
-        self.exponents = exponents
+    def __init__(self, key: int, degree: int, odd: int, generators: tuple):
+        self.key = key
         self.degree = degree
         self.odd = odd
         self.generators = generators
-        self._hash = hash(exponents)
+        self._exponents = None
 
     def __hash__(self):
-        return self._hash
+        # a key beyond the hash range is hashed as ``hash(key)`` would be
+        return self.key
 
     def __eq__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
-        return self.exponents == other.exponents and (
+        return self.key == other.key and (
             self.generators is other.generators or self.generators == other.generators
         )
 
     @property
+    def exponents(self) -> tuple:
+        """One exponent per generator, in generator order."""
+        if self._exponents is None:
+            exponents = [0] * len(self.generators)
+            for i, e in _fields(self.key):
+                exponents[i] = e
+            self._exponents = tuple(exponents)
+        return self._exponents
+
+    @property
     def factors(self) -> tuple:
         """``((name, exponent), ...)`` in generator order, exponents >= 1."""
-        return tuple((g.name, e) for g, e in zip(self.generators, self.exponents) if e)
+        gens = self.generators
+        return tuple((gens[i].name, e) for i, e in _fields(self.key))
 
     def is_unit(self) -> bool:
         return not self.degree
 
     def factor_count(self) -> int:
         """Number of generator factors counted with multiplicity."""
-        return sum(self.exponents)
+        return sum(e for _, e in _fields(self.key))
 
     def generator_names(self):
-        return [g.name for g, e in zip(self.generators, self.exponents) if e]
+        gens = self.generators
+        return [gens[i].name for i, _ in _fields(self.key)]
 
     def __str__(self) -> str:
         return _product_text(self.factors) or "1"
 
     def __repr__(self):
         return f"Monomial(factors={self.factors!r}, degree={self.degree!r})"
+
+
+def _fields(key: int) -> list:
+    """``(i, e)`` for each nonzero exponent ``e`` packed in ``key``, by
+    ascending generator index ``i``; runs of zero fields are skipped at the
+    lowest set bit."""
+    out = []
+    i = 0
+    while key:
+        skip = ((key & -key).bit_length() - 1) // _WIDTH
+        key >>= _WIDTH * skip
+        i += skip
+        out.append((i, key & _MASK))
+        key >>= _WIDTH
+        i += 1
+    return out
+
+
+def _degree_error(degree: int) -> PreconditionViolated:
+    """The error for a monomial of a degree at or beyond ``_DEGREE_BOUND``,
+    whose key fields could carry."""
+    return PreconditionViolated(f"monomial degrees must stay below 2**{_WIDTH}, got {degree}")
 
 
 def _product_text(factors) -> str:
@@ -230,7 +277,7 @@ class AlgebraPresentation:
         self._cohomology_cache = {}
         self._d_matrix_cache = {}
         self._cylinder = None
-        self._unit = Monomial((0,) * len(gens), 0, 0, self.generators)
+        self._unit = Monomial(0, 0, 0, self.generators)
         self._basis_cache = {0: [self._unit]}
         self._block_ends = {0: [0] * len(gens)}
         self._reach = (-1, None)
@@ -346,8 +393,7 @@ class AlgebraPresentation:
     def gen(self, name: str) -> "Element":
         g = self.generator(name)
         i = self._order[name]
-        exponents = (0,) * i + (1,) + (0,) * (len(self.generators) - i - 1)
-        return Element(self, {Monomial(exponents, g.degree, g.is_odd << i, self.generators): 1})
+        return Element(self, {Monomial(1 << _WIDTH * i, g.degree, g.is_odd << i, self.generators): 1})
 
     def element(self, terms: Mapping[Monomial, object]) -> "Element":
         """The element with the given terms; a monomial of another
@@ -386,7 +432,9 @@ class AlgebraPresentation:
         order yields the sorted basis without a sort.  If degree ``j`` is
         cached, those form a suffix of its basis that starts at the end of
         the block whose first generator is ``g_i`` or an earlier one (each
-        degree keeps these ends); else :meth:`_walk` enumerates them.
+        degree keeps these ends), and ``g_i**a`` times one of them is the
+        key sum ``(a << _WIDTH * i) + key``; else :meth:`_walk` enumerates
+        them.  A degree of ``2**_WIDTH`` or more is ``PreconditionViolated``.
         """
         _check_int("n", n)
         if n < 0:
@@ -395,6 +443,8 @@ class AlgebraPresentation:
         cached = cache.get(n)
         if cached is not None:
             return cached
+        if n >= _DEGREE_BOUND:
+            raise _degree_error(n)
         ends = self._block_ends
         gens = self.generators
         out = []
@@ -404,50 +454,47 @@ class AlgebraPresentation:
                 bit = g.is_odd << i
                 for a in range(1, 2 if bit else n // g.degree + 1):
                     j = n - a * g.degree
+                    head = a << _WIDTH * i
                     lower = cache.get(j)
                     if lower is None:
-                        self._walk((0,) * i + (a,), j, n, bit, out)
+                        self._walk(head, i + 1, j, n, bit, out)
                         continue
                     start = ends[j][i]
                     if start < len(lower):
-                        head = (0,) * i + (a,)
-                        out += [
-                            Monomial(head + m.exponents[i + 1 :], n, m.odd | bit, gens)
-                            for m in lower[start:]
-                        ]
+                        out += [Monomial(head + m.key, n, m.odd | bit, gens) for m in lower[start:]]
             block_ends[i] = len(out)
         cache[n] = out
         ends[n] = block_ends
         return out
 
-    def _walk(self, head: tuple, rest: int, n: int, odd: int, out: list) -> None:
-        """Append to ``out`` the monomials ``head + e`` of degree ``n``, for
-        every exponent vector ``e`` of degree ``rest`` on the generators
-        after ``head``, in basis order: at each generator the exponents
-        1, 2, ... come first and 0 last.  Every branch is pruned to yield a
-        monomial, and the stack is explicit, so its depth does not grow
-        with the number of generators."""
+    def _walk(self, head: int, p: int, rest: int, n: int, odd: int, out: list) -> None:
+        """Append to ``out`` the monomials of degree ``n`` that are the
+        monomial with key ``head`` on the generators before ``p`` times a
+        monomial of degree ``rest`` on generator ``p`` and later, in basis
+        order: at each generator the exponents 1, 2, ... come first and 0
+        last.  Every branch is pruned to yield a monomial, and the stack is
+        explicit, so its depth does not grow with the number of generators.
+        ``n`` is below ``2**_WIDTH``, so the key sums do not carry."""
         reach = self._reachable(n)
-        if not reach[len(head)] >> rest & 1:
+        if not reach[p] >> rest & 1:
             return
         gens = self.generators
-        size = len(gens)
-        stack = [(head, rest, odd)]
+        stack = [(head, p, rest, odd)]
         while stack:
-            exps, r, odd = stack.pop()
-            p = len(exps)
+            key, p, r, odd = stack.pop()
             if not r:
-                out.append(Monomial(exps + (0,) * (size - p), n, odd, gens))
+                out.append(Monomial(key, n, odd, gens))
                 continue
             g = gens[p]
             later = reach[p + 1]
             top = r // g.degree
             # pushed in reverse, so 0 is popped last
             if later >> r & 1:
-                stack.append((exps + (0,), r, odd))
+                stack.append((key, p + 1, r, odd))
+            one = 1 << _WIDTH * p
             for e in range(min(top, 1) if g.is_odd else top, 0, -1):
                 if later >> (r - e * g.degree) & 1:
-                    stack.append((exps + (e,), r - e * g.degree, odd | g.is_odd << p))
+                    stack.append((key + e * one, p + 1, r - e * g.degree, odd | g.is_odd << p))
 
     def _reachable(self, n: int) -> list:
         """``reach[p]`` has bit ``r`` set when some monomial of degree ``r``
@@ -477,7 +524,7 @@ class AlgebraPresentation:
         """Degree first; within a degree, at the first generator where two
         monomials differ, the one with the smaller nonzero exponent there
         comes first and a zero exponent comes last."""
-        return (m.degree, tuple((i, e) for i, e in enumerate(m.exponents) if e))
+        return (m.degree, tuple(_fields(m.key)))
 
     # -- subalgebras ------------------------------------------------------------
 
@@ -520,18 +567,19 @@ def _reindex(m: Monomial, target: AlgebraPresentation) -> Monomial:
     Both generator tuples are sorted by ``(degree, name)``, so the shared
     generators keep their relative order and no sign arises.
     """
-    exponents = [0] * len(target.generators)
-    odd = 0
-    for g, e in zip(m.generators, m.exponents):
-        if e:
-            i = target._order.get(g.name)
-            if i is None:
-                raise UnknownGenerator(g.name)
-            if target.generators[i].degree != g.degree:
-                raise DegreeMismatch(f"generator {g.name} changes degree in transfer")
-            exponents[i] = e
-            odd |= g.is_odd << i
-    return Monomial(tuple(exponents), m.degree, odd, target.generators)
+    if m.degree >= _DEGREE_BOUND:
+        raise _degree_error(m.degree)
+    key = odd = 0
+    for j, e in _fields(m.key):
+        g = m.generators[j]
+        i = target._order.get(g.name)
+        if i is None:
+            raise UnknownGenerator(g.name)
+        if target.generators[i].degree != g.degree:
+            raise DegreeMismatch(f"generator {g.name} changes degree in transfer")
+        key += e << _WIDTH * i
+        odd |= g.is_odd << i
+    return Monomial(key, m.degree, odd, target.generators)
 
 
 class Element:
@@ -652,7 +700,8 @@ def normalize_monomial(algebra: AlgebraPresentation, raw_factors):
     Returns ``(sign, monomial)`` where ``sign`` is the Koszul sign of the
     sorting permutation, or ``(0, None)`` when an odd generator repeats.
     Only inversions between odd-degree factors can flip the sign, so the
-    sign is the inversion parity of the odd subsequence.
+    sign is the inversion parity of the odd subsequence.  A degree of
+    ``2**_WIDTH`` or more is ``PreconditionViolated``.
     """
     occurrences = []  # (generator index, exponent)
     for name, exp in raw_factors:
@@ -663,18 +712,19 @@ def normalize_monomial(algebra: AlgebraPresentation, raw_factors):
         algebra.generator(name)
         occurrences.append((algebra._order[name], exp))
     gens = algebra.generators
-    exponents = [0] * len(gens)
-    odd = flips = degree = 0
+    key = odd = flips = degree = 0
     for i, exp in occurrences:
-        exponents[i] += exp
         degree += gens[i].degree * exp
+        if degree >= _DEGREE_BOUND:
+            raise _degree_error(degree)
         if gens[i].is_odd:
             bit = 1 << i
             if exp > 1 or odd & bit:
                 return 0, None
             flips += _sign_flips(odd, bit)
             odd |= bit
-    return (-1 if flips % 2 else 1), Monomial(tuple(exponents), degree, odd, gens)
+        key += exp << _WIDTH * i
+    return (-1 if flips % 2 else 1), Monomial(key, degree, odd, gens)
 
 
 def extend_derivation(
@@ -738,23 +788,37 @@ def _sign_flips(left: int, right: int) -> int:
     return flips
 
 
-def _mul_terms(algebra: AlgebraPresentation, a: dict, b: dict) -> dict:
-    """The product of two term dicts: exponent vectors add, and the Koszul
-    sign comes from the odd-generator bitmasks."""
-    gens = algebra.generators
+def _from_keys(gens: tuple, coefficients: dict, shapes: dict) -> dict:
+    """The term dict of ``coefficients`` (key -> nonzero coefficient), in
+    its order, each key made the monomial over ``gens`` with the degree and
+    odd mask in ``shapes[key]``."""
     out = {}
+    for key, c in coefficients.items():
+        degree, odd = shapes[key]
+        out[Monomial(key, degree, odd, gens)] = c
+    return out
+
+
+def _mul_terms(algebra: AlgebraPresentation, a: dict, b: dict) -> dict:
+    """The product of two term dicts: keys add, and the Koszul sign comes
+    from the odd-generator bitmasks.  Terms are summed by key."""
+    out, shapes = {}, {}
     for m1, c1 in a.items():
-        e1, o1, d1 = m1.exponents, m1.odd, m1.degree
+        k1, o1, d1 = m1.key, m1.odd, m1.degree
         for m2, c2 in b.items():
             o2 = m2.odd
             if o1 & o2:
                 continue
+            degree = d1 + m2.degree
+            if degree >= _DEGREE_BOUND:
+                raise _degree_error(degree)
             c = c1 * c2
             if _sign_flips(o1, o2) % 2:
                 c = -c
-            mono = Monomial(tuple(map(operator.add, e1, m2.exponents)), d1 + m2.degree, o1 | o2, gens)
-            _add_term(out, mono, c)
-    return out
+            key = k1 + m2.key
+            _add_term(out, key, c)
+            shapes[key] = degree, o1 | o2
+    return _from_keys(algebra.generators, out, shapes)
 
 
 def _power(mul: Callable, x, k: int, one):
@@ -774,59 +838,60 @@ def _power(mul: Callable, x, k: int, one):
 
 
 def _by_index(algebra: AlgebraPresentation, images: Mapping[str, "Element"]) -> list:
-    """Generator images as term dicts in generator order; None where missing."""
-    return [images[g.name].terms if g.name in images else None for g in algebra.generators]
+    """``(i, terms)`` for each generator ``g_i`` with a nonzero image in
+    ``images``, in generator order."""
+    return [
+        (i, img.terms)
+        for i, g in enumerate(algebra.generators)
+        if (img := images.get(g.name)) is not None and img.terms
+    ]
 
 
 def _derivation_vectors(images: Sequence, parity: int, m: Monomial):
     """The terms of ``theta(m)`` for the derivation of the given parity with
-    generator images ``images`` (term dicts in generator order, None for
-    zero), as ``(exponents, degree, odd mask, k, c)`` for ``k * c`` times
-    the monomial, where ``k`` is a signed integer.
+    the nonzero generator images ``images`` (``(i, term dict)`` pairs in
+    generator order), as ``(key, degree, odd mask, k, c)`` for ``k * c``
+    times the monomial, where ``k`` is a signed integer.
 
     Each term of ``theta(g_i)`` replaces one copy of ``g_i``.  For an even
     generator all copies contribute alike (moving ``theta(g_i)`` past an
-    even ``g_i`` costs nothing), hence the multiplicity; the Koszul sign
-    moves the term's odd generators past the odd generators of ``m`` before
-    and after ``g_i``.
+    even ``g_i`` costs nothing), hence the multiplicity.  Moving ``theta``
+    past the factors before ``g_i`` gives ``(-1)**parity`` per odd one; the
+    Koszul sign moves the term's odd generators past the odd generators of
+    ``m`` before and after ``g_i``.
     """
-    e, degree, gens = m.exponents, m.degree, m.generators
-    prefix_degree = 0
-    for i, x in enumerate(e):
+    key, odd, degree, gens = m.key, m.odd, m.degree, m.generators
+    for i, img in images:
+        x = key >> _WIDTH * i & _MASK
         if not x:
             continue
-        img = images[i]
-        if img:
-            k = -x if parity % 2 and prefix_degree % 2 else x
-            rest = m.odd & ~(1 << i)
-            before = rest & ((1 << i) - 1)
-            after = rest ^ before
-            lowered = e[:i] + (x - 1,) + e[i + 1 :]
-            lowered_degree = degree - gens[i].degree
-            for m2, c2 in img.items():
-                o2 = m2.odd
-                if o2 & rest:
-                    continue
-                flips = _sign_flips(before, o2) + _sign_flips(o2, after)
-                yield (
-                    tuple(map(operator.add, lowered, m2.exponents)),
-                    lowered_degree + m2.degree,
-                    rest | o2,
-                    -k if flips % 2 else k,
-                    c2,
-                )
-        prefix_degree += gens[i].degree * x
+        rest = odd & ~(1 << i)
+        before = rest & ((1 << i) - 1)
+        after = rest ^ before
+        k = -x if parity % 2 and before.bit_count() % 2 else x
+        lowered = key - (1 << _WIDTH * i)
+        lowered_degree = degree - gens[i].degree
+        for m2, c2 in img.items():
+            o2 = m2.odd
+            if o2 & rest:
+                continue
+            image_degree = lowered_degree + m2.degree
+            if image_degree >= _DEGREE_BOUND:
+                raise _degree_error(image_degree)
+            flips = _sign_flips(before, o2) + _sign_flips(o2, after)
+            yield lowered + m2.key, image_degree, rest | o2, -k if flips % 2 else k, c2
 
 
 def _derive_terms(algebra: AlgebraPresentation, images: Sequence, parity: int, terms: dict) -> dict:
-    """Apply the derivation of the given parity with generator images
-    ``images`` (term dicts in generator order, None for zero) to ``terms``."""
-    gens = algebra.generators
-    out = {}
+    """Apply the derivation of the given parity with the nonzero generator
+    images ``images`` (``(i, term dict)`` pairs in generator order) to
+    ``terms``; terms are summed by key."""
+    out, shapes = {}, {}
     for m, c in terms.items():
-        for exponents, degree, odd, k, c2 in _derivation_vectors(images, parity, m):
-            _add_term(out, Monomial(exponents, degree, odd, gens), c * k * c2)
-    return out
+        for key, degree, odd, k, c2 in _derivation_vectors(images, parity, m):
+            _add_term(out, key, c * k * c2)
+            shapes[key] = degree, odd
+    return _from_keys(algebra.generators, out, shapes)
 
 
 def _extend_terms(
@@ -840,11 +905,11 @@ def _extend_terms(
     out = {}
     for m, c in terms.items():
         term = {algebra._unit: one * c}
-        for g, exp in zip(m.generators, m.exponents):
-            if exp:
-                term = mul(term, _power(mul, image(g.name), exp, unit))
-                if not term:
-                    break
+        gens = m.generators
+        for i, exp in _fields(m.key):
+            term = mul(term, _power(mul, image(gens[i].name), exp, unit))
+            if not term:
+                break
         for mm, cc in term.items():
             _add_term(out, mm, cc)
     return out

@@ -20,17 +20,17 @@ from .linalg import RationalMatrix, kernel_rows, reduce_mod_rows, rref, rref_sol
 
 def _assemble(algebra: AlgebraPresentation, n: int) -> RationalMatrix:
     """The full degree-n d-matrix, one column per basis monomial, with rows
-    found by exponent vector."""
+    found by monomial key."""
     src = algebra.monomial_basis(n)
-    index = {m.exponents: i for i, m in enumerate(algebra.monomial_basis(n + 1))}
+    index = {m.key: i for i, m in enumerate(algebra.monomial_basis(n + 1))}
     images = _by_index(algebra, algebra._diff)
     matrix = RationalMatrix(len(index), len(src))
     for j, m in enumerate(src):
         column = {}
-        for exponents, _, _, k, c in _derivation_vectors(images, 1, m):
-            _add_term(column, exponents, c if k == 1 else -c if k == -1 else k * c)
-        for exponents, c in column.items():
-            i = index.get(exponents)
+        for key, _, _, k, c in _derivation_vectors(images, 1, m):
+            _add_term(column, key, c if k == 1 else -c if k == -1 else k * c)
+        for key, c in column.items():
+            i = index.get(key)
             if i is None:
                 bad = [t for t in algebra.d(algebra.element({m: 1})).terms if t.degree != n + 1]
                 raise DegreeMismatch(f"d({m}) has the term {bad[0]} outside degree {n + 1}")

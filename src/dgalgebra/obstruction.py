@@ -150,8 +150,9 @@ def _obstruction_classes(
 def _check_maps(f: Morphism, g: Morphism, source: AlgebraPresentation):
     """f and g are chain maps out of ``source`` into one target, and both
     ends are graded; the one precondition check of every two-map entry."""
-    if f.source != source or g.source != source:
-        raise PreconditionViolated("maps must be defined on the decomposed algebra")
+    for other in (f.source, g.source):
+        if other != source:
+            raise PreconditionViolated(f"maps must be defined on {source!r}, not on {other!r}")
     if f.target != g.target:
         raise PreconditionViolated("maps must share a target")
     require_graded(source, f.target)

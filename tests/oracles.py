@@ -344,7 +344,7 @@ def class_coordinates_by_solve(algebra, x, n):
     return None if solution is None else solution[: len(reps)]
 
 
-# -- monomials by name, without the library's exponent vectors -------------------
+# -- monomials by name, without the library's monomial keys ---------------------
 #
 # A monomial here is a tuple of (generator name, exponent) pairs in the order
 # (degree, name), the library's documented canonical order.
@@ -499,3 +499,92 @@ def eliminate_by_restart(system):
             reduced.append(p)
     linear += [p for p in reduced if p.max_term_degree() <= 1]
     return records, [p for p in reduced if p.max_term_degree() >= 2], linear
+
+
+# -- the monomial kernel on exponent tuples, without the library's packed keys ---
+#
+# An element here is a dict {exponent tuple: coefficient} over the generators
+# in (degree, name) order; a Koszul sign is the parity of the inversions
+# between odd factors, counted on the tuples.
+
+
+class ExponentTuples:
+    """Products, powers and derivations of one presentation's elements on
+    plain exponent tuples, read from and written back as factors."""
+
+    def __init__(self, algebra):
+        self.names = sorted(algebra.generator_names(), key=lambda name: _generator_key(algebra, name))
+        self.degrees = [algebra.degree_of(name) for name in self.names]
+        self.odd = [d % 2 == 1 for d in self.degrees]
+
+    def tuples(self, x):
+        """``{exponent tuple: coefficient}`` of an element."""
+        out = {}
+        for m, c in x.terms.items():
+            exps = dict(m.factors)
+            out[tuple(exps.get(name, 0) for name in self.names)] = c
+        return out
+
+    def named(self, terms):
+        """``{factors: coefficient}`` of an exponent-tuple dict."""
+        return {
+            tuple((name, e) for name, e in zip(self.names, exps) if e): c for exps, c in terms.items() if c
+        }
+
+    def _inversions(self, left, right):
+        """Pairs of an odd factor of ``left`` after an odd factor of ``right``."""
+        return sum(
+            1
+            for i, a in enumerate(left)
+            for j, b in enumerate(right)
+            if i > j and a and b and self.odd[i] and self.odd[j]
+        )
+
+    def _degree(self, exps):
+        return sum(d * e for d, e in zip(self.degrees, exps))
+
+    def _times(self, left, right):
+        """``(sign, tuple)`` of the product of two monomials; sign 0 when an
+        odd generator would repeat."""
+        exps = tuple(a + b for a, b in zip(left, right))
+        if any(odd and e > 1 for odd, e in zip(self.odd, exps)):
+            return 0, exps
+        return (-1) ** (self._inversions(left, right) % 2), exps
+
+    def mul(self, a, b):
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                sign, exps = self._times(e1, e2)
+                if sign:
+                    out[exps] = out.get(exps, 0) + sign * c1 * c2
+        return {e: c for e, c in out.items() if c}
+
+    def power(self, a, k):
+        """``a**k`` by ``k`` products with the unit."""
+        out = {(0,) * len(self.names): 1}
+        for _ in range(k):
+            out = self.mul(out, a)
+        return out
+
+    def derive(self, images, parity, a):
+        """The derivation of the given parity with generator images
+        ``images`` (name -> exponent-tuple dict) on ``a``: it hits each copy
+        of each factor in turn, with the sign (-1)**(parity * degree of the
+        copies before it), and puts the image between the copies before
+        and after it."""
+        out = {}
+        for exps, c in a.items():
+            for i, name in enumerate(self.names):
+                for copy in range(exps[i]):
+                    before = exps[:i] + (copy,) + (0,) * (len(exps) - i - 1)
+                    after = (0,) * i + (exps[i] - copy - 1,) + exps[i + 1 :]
+                    for image, c2 in images.get(name, {}).items():
+                        sign, head = self._times(before, image)
+                        if not sign:
+                            continue
+                        sign2, whole = self._times(head, after)
+                        if sign2:
+                            shift = (-1) ** (parity * self._degree(before) % 2)
+                            out[whole] = out.get(whole, 0) + shift * sign * sign2 * c * c2
+        return {e: c for e, c in out.items() if c}

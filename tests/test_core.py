@@ -61,6 +61,30 @@ def test_power_by_squaring_equals_repeated_product(ex53):
     assert (c, monomial.degree) == (2**1000000, 1000000 * ex53.degree_of("x1"))
 
 
+def test_monomials_of_degree_2_to_the_32_are_refused():
+    """A monomial packs each exponent into a 32-bit field of its key; every
+    path that would build one of degree 2**32 or more raises instead of
+    carrying into the next field (x**(2**32) would read as u)."""
+    algebra = AlgebraPresentation.build([("t", 1), ("x", 2), ("u", 2**31), ("w", 2**32)])
+    g = algebra.namespace()
+    sub = algebra.subalgebra(["w"])
+    attempts = {
+        "power": lambda: g.x ** 2**31,
+        "carrying power": lambda: g.x ** 2**32,
+        "product": lambda: g.u * g.u,
+        "derivation": lambda: extend_derivation(algebra, {"t": g.u}, 2**31 - 1, g.t * g.u),
+        "basis": lambda: algebra.monomial_basis(2**32),
+        "normalize": lambda: normalize_monomial(algebra, [("x", 2**31)]),
+        "re-index": lambda: algebra.element(sub.gen("w").terms),
+    }
+    for name, attempt in attempts.items():
+        with pytest.raises(PreconditionViolated, match=r"below 2\*\*32"):
+            attempt()
+            pytest.fail(name)
+    [(m, c)] = (g.x ** (2**31 - 1)).terms.items()
+    assert (m.exponents, m.degree, c) == ((0, 2**31 - 1, 0, 0), 2**32 - 2, 1)
+
+
 def test_published_quadratic_product(ex51):
     g = ex51.namespace()
     produced = (g.y1 * g.x2 - g.x1 * g.y2) * (g.y2 * g.x2 - g.x1 * g.y3)

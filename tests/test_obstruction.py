@@ -1,5 +1,6 @@
 """Obstruction values, extension, and the homotopy deciders."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -602,7 +603,12 @@ def test_deciders_reject_a_misgraded_differential(decide):
 # one precondition violated at a time, on two_stage against free_even:
 # (the argument replaced, its replacement, the error, its message)
 VIOLATIONS = {
-    "other-source": ("g", lambda a, b: Morphism.zero_map(b, a), PreconditionViolated, "must be defined on"),
+    "other-source": (
+        "g",
+        lambda a, b: Morphism.zero_map(b, a),
+        PreconditionViolated,
+        re.escape("must be defined on <two_stage: Lambda(u(2), v(3))>, not on <free_even: Lambda(w(2))>"),
+    ),
     "other-target": ("g", lambda a, b: Morphism.zero_map(a, b), PreconditionViolated, "must share a target"),
     "not-a-chain-map": (
         "f",

@@ -52,6 +52,7 @@ from dgalgebra.parser import parse_morphism, parse_presentation, print_morphism,
 from dgalgebra.symbolic import Poly
 from conftest import LINEAR_D, load
 from oracles import (
+    ExponentTuples,
     alpha_by_series,
     basis_by_search,
     class_coordinates_by_solve,
@@ -807,7 +808,7 @@ def test_invertible_linear_part_implies_isomorphism_in_every_degree(algebra, dra
     assert not _linear_part_invertible(Morphism.zero_map(algebra, algebra))
 
 
-# -- the exponent-vector kernel against the normaliser by transpositions --------
+# -- the key kernel against the normaliser by transpositions ------------------
 
 
 def _named(x):
@@ -824,6 +825,23 @@ def test_products_match_the_transposition_normaliser(algebra, draw):
     x = draw.draw(elements_of(algebra))
     y = draw.draw(elements_of(algebra))
     assert _named(x * y) == product_by_transpositions(x, y)
+
+
+@given(MINIMAL_OR_CORPUS, st.data())
+@settings(max_examples=100)
+def test_the_key_kernel_matches_the_exponent_tuple_oracle(algebra, draw):
+    """Products, powers, d of random elements and the degree-n basis agree
+    term by term with plain exponent-tuple arithmetic."""
+    oracle = ExponentTuples(algebra)
+    x, y = draw.draw(elements_of(algebra)), draw.draw(elements_of(algebra))
+    k = draw.draw(st.integers(min_value=0, max_value=3))
+    tx = oracle.tuples(x)
+    assert _named(x * y) == oracle.named(oracle.mul(tx, oracle.tuples(y)))
+    assert _named(x**k) == oracle.named(oracle.power(tx, k))
+    images = {name: oracle.tuples(img) for name, img in algebra.differential_images().items()}
+    assert _named(algebra.d(x)) == oracle.named(oracle.derive(images, 1, tx))
+    n = draw.draw(st.integers(min_value=0, max_value=2 * algebra.max_generator_degree() + 2))
+    assert [m.factors for m in algebra.monomial_basis(n)] == basis_by_search(algebra, n)
 
 
 @given(MINIMAL_OR_CORPUS, st.data())

@@ -54,7 +54,7 @@ def test_no_broad_exception_handlers():
 
 
 def test_monomials_are_constructed_only_in_algebra_py():
-    """The exponent-vector layout of ``Monomial`` is private to
+    """The key layout of ``Monomial`` is private to
     ``algebra.py``; other modules get monomials from its kernel."""
     found = [
         where
@@ -63,6 +63,61 @@ def test_monomials_are_constructed_only_in_algebra_py():
         and "Monomial" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
         and not where.startswith("algebra.py:")
     ]
+    assert found == []
+
+
+# The names in algebra.py that know where a monomial key keeps each exponent.
+KEY_LAYOUT = {"_WIDTH", "_MASK", "_DEGREE_BOUND", "_fields"}
+
+
+def _key_layout_uses(tree: ast.AST) -> list:
+    """Line numbers in ``tree`` that read the key layout: a reference to a
+    ``KEY_LAYOUT`` name, or arithmetic, a shift or a mask with an operand
+    that is a ``.key`` attribute or a name bound to the key that
+    ``_derivation_vectors`` yields first."""
+    keys = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.For)
+            and isinstance(node.iter, ast.Call)
+            and "_derivation_vectors" in (getattr(node.iter.func, "id", None), getattr(node.iter.func, "attr", None))
+            and isinstance(node.target, ast.Tuple)
+            and isinstance(node.target.elts[0], ast.Name)
+        ):
+            keys.add(node.target.elts[0].id)
+
+    def is_key(operand):
+        return (isinstance(operand, ast.Attribute) and operand.attr == "key") or (
+            isinstance(operand, ast.Name) and operand.id in keys
+        )
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign):
+            operands = (node.target, node.value)
+        elif isinstance(node, ast.UnaryOp):
+            operands = (node.operand,)
+        else:
+            operands = ()
+        named = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if any(map(is_key, operands)) or named in KEY_LAYOUT:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_monomial_key_layout_is_private_to_algebra_py():
+    """A monomial's key packs its exponents into fixed-width bit fields, a
+    layout that only ``algebra.py`` knows; other modules (``_assemble``
+    indexes a basis by key) use keys only as opaque dictionary keys."""
+    snippet = "i = m.key >> 32\nfor k, *_ in _derivation_vectors(a, 1, m):\n    j = -k\nw = _WIDTH\nd = {m.key: 1}\n"
+    assert _key_layout_uses(ast.parse(snippet)) == [1, 3, 4]
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name != "algebra.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found.extend(f"{path.relative_to(SRC)}:{line}" for line in _key_layout_uses(tree))
     assert found == []
 
 
