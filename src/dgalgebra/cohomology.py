@@ -25,6 +25,7 @@ def _assemble(algebra: AlgebraPresentation, n: int) -> RationalMatrix:
     index = {m.key: i for i, m in enumerate(algebra.monomial_basis(n + 1))}
     images = _by_index(algebra, algebra._diff)
     matrix = RationalMatrix(len(index), len(src))
+    lines = matrix.lines
     for j, m in enumerate(src):
         column = {}
         for key, _, _, k, c in _derivation_vectors(images, 1, m):
@@ -34,7 +35,7 @@ def _assemble(algebra: AlgebraPresentation, n: int) -> RationalMatrix:
             if i is None:
                 bad = [t for t in algebra.d(algebra.element({m: 1})).terms if t.degree != n + 1]
                 raise DegreeMismatch(f"d({m}) has the term {bad[0]} outside degree {n + 1}")
-            matrix.entries[i, j] = c
+            lines[i][j] = c
     return matrix
 
 
@@ -57,19 +58,8 @@ def differential_matrix(algebra: AlgebraPresentation, n: int) -> RationalMatrix:
     _check_int("n", n)
     full = _d_matrix(algebra, n)
     matrix = RationalMatrix(full.rows, full.cols)
-    matrix.entries = dict(full.entries)
+    matrix.lines = [dict(line) for line in full.lines]
     return matrix
-
-
-def _echelon(matrix: RationalMatrix) -> Tuple[List[Dict[int, Fraction]], List[int]]:
-    """The sparse reduced echelon rows of ``matrix`` and their pivots, with
-    an ``int`` for each integral entry, so that reducing modulo the rows
-    pays ``Fraction`` arithmetic only where a denominator exists."""
-    reduced, pivots = rref(matrix)
-    rows: List[Dict[int, Fraction]] = [{} for _ in pivots]
-    for (i, j), v in reduced.entries.items():
-        rows[i][j] = v.numerator if v.denominator == 1 else v
-    return rows, pivots
 
 
 @dataclass
@@ -79,7 +69,9 @@ class DegreeCohomology:
     dimension: int
     representatives: List[Element]
     # sparse reduced echelon rows and ascending pivots over the degree-n
-    # basis index: B^n, and the kernel of d_n off the B^n pivots
+    # basis index: B^n, and the kernel of d_n off the B^n pivots; an
+    # integral entry is an int, so reducing modulo the rows pays Fraction
+    # arithmetic only where a denominator exists
     _boundaries: Tuple[List[Dict[int, Fraction]], List[int]] = field(repr=False)
     _rep_rows: Tuple[List[Dict[int, Fraction]], List[int]] = field(repr=False)
 
@@ -103,13 +95,19 @@ def cohomology_at_degree(algebra: AlgebraPresentation, n: int) -> DegreeCohomolo
     basis = algebra.monomial_basis(n)
     boundaries = rep_rows = ([], [])
     if basis:
-        boundaries = _echelon(_d_matrix(algebra, n - 1).transpose())
-        free = sorted(set(range(len(basis))).difference(boundaries[1]), reverse=True)
+        reduced, pivots = rref(_d_matrix(algebra, n - 1).transpose())
+        boundaries = (reduced.lines[: len(pivots)], pivots)
+        free = sorted(set(range(len(basis))).difference(pivots), reverse=True)
         column = {j: k for k, j in enumerate(free)}
         d = _d_matrix(algebra, n)
         off_b = RationalMatrix(d.rows, len(free))
-        off_b.entries = {(i, column[j]): v for (i, j), v in d.entries.items() if j in column}
-        kernel = kernel_rows(*_echelon(off_b), len(free))
+        for line, restricted in zip(d.lines, off_b.lines):
+            if line:
+                for j, v in line.items():
+                    if j in column:
+                        restricted[column[j]] = v
+        reduced, pivots = rref(off_b)
+        kernel = kernel_rows(reduced.lines, pivots, len(free))
         rows = [{free[k]: v for k, v in vec.items()} for vec in reversed(kernel)]
         rep_rows = (rows, [min(row) for row in rows])
     reps = [algebra.element({basis[j]: row[j] for j in sorted(row)}) for row in rep_rows[0]]

@@ -5,10 +5,11 @@ echelon form, which is unique, so kernels, particular solutions and
 canonical witnesses are reproducible across runs and platforms.  The one
 elimination over Q, ``_rref``, works on primitive integer rows and divides
 by the pivots only when it emits the reduced rows, so its results are the
-same ``Fraction`` rows as an elimination over ``Fraction`` without the
-gcd work of rational arithmetic at every step.
-Inputs pass ``algebra._as_rational``, so a float raises ``TypeError``
-instead of entering as a binary fraction; outputs are ``Fraction``s.
+same rows as an elimination over ``Fraction`` without the gcd work of
+rational arithmetic at every step.  Its row format, ``RationalMatrix.lines``,
+is the one matrix store from assembly to elimination.  Inputs pass
+``algebra._as_rational``, so a float raises ``TypeError`` instead of
+entering as a binary fraction; public outputs are ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import _as_rational
+from .algebra import _as_rational, _check_int
 from .errors import (
     DimensionMismatch,
     NonRationalRoot,
@@ -30,21 +32,27 @@ from .errors import (
 
 
 class RationalMatrix:
-    """A sparse matrix of exact rationals; zero entries are never stored."""
+    """A sparse matrix of exact rationals.  ``lines`` is the one store: a
+    ``{column: value}`` dict per row, an ``int`` for each integral value and
+    no zero; ``entries`` is a read-only ``{(i, j): Fraction}`` view of it."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "lines")
 
     def __init__(self, rows: int, cols: int, entries=None):
+        for name, size in (("rows", rows), ("cols", cols)):
+            _check_int(name, size)
+            if size < 0:
+                raise DimensionMismatch(f"{name} must not be negative, got {size}")
         self.rows = rows
         self.cols = cols
-        self.entries = {}
+        self.lines: List[Dict[int, Fraction]] = [{} for _ in range(rows)]
         if entries:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise DimensionMismatch(f"entry ({i},{j}) outside {rows}x{cols}")
-                v = Fraction(_as_rational(v))
+                v = _as_rational(v)
                 if v:
-                    self.entries[(i, j)] = v
+                    self.lines[i][j] = v
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
@@ -53,36 +61,30 @@ class RationalMatrix:
             raise DimensionMismatch("ragged rows")
         return cls(len(rows), c, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
 
+    @property
+    def entries(self) -> Mapping[Tuple[int, int], Fraction]:
+        return MappingProxyType({(i, j): Fraction(v) for i, line in enumerate(self.lines) for j, v in line.items()})
+
     def get(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), Fraction(0))
+        return Fraction(self.lines[i].get(j, 0))
 
     def dense_rows(self) -> List[List[Fraction]]:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
-    def sparse_rows(self) -> List[Dict[int, Fraction]]:
-        """One ``{column: nonzero value}`` dict per row, the row format of
-        every elimination here."""
-        rows: List[Dict[int, Fraction]] = [{} for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
+        return [_dense(line, self.cols) for line in self.lines]
 
     def transpose(self) -> "RationalMatrix":
         m = RationalMatrix(self.cols, self.rows)
-        m.entries = {(j, i): v for (i, j), v in self.entries.items()}
+        lines = m.lines
+        for i, line in enumerate(self.lines):
+            if line:
+                for j, v in line.items():
+                    lines[j][i] = v
         return m
 
     def mat_vec(self, x: Sequence[Fraction]) -> List[Fraction]:
         if len(x) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
-        out = [Fraction(0)] * self.rows
-        for (i, j), v in self.entries.items():
-            if x[j]:
-                out[i] += v * x[j]
-        return out
+        x = [_as_rational(v) for v in x]
+        return [Fraction(sum(v * x[j] for j, v in line.items() if x[j])) for line in self.lines]
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -90,11 +92,20 @@ class RationalMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.lines == other.lines
         )
 
     def __repr__(self):
-        return f"<RationalMatrix {self.rows}x{self.cols}, {len(self.entries)} entries>"
+        return f"<RationalMatrix {self.rows}x{self.cols}, {sum(map(len, self.lines))} entries>"
+
+
+def _dense(vec: Dict[int, Fraction], n: int) -> List[Fraction]:
+    """The sparse vector ``vec`` (ints and Fractions) as a length-n list of
+    ``Fraction``s; its zeros share one object."""
+    out = [Fraction(0)] * n
+    for j, v in vec.items():
+        out[j] = Fraction(v) if type(v) is int else v
+    return out
 
 
 def _rref(rows: List[Dict[int, Fraction]]) -> Tuple[List[Dict[int, Fraction]], List[int]]:
@@ -102,14 +113,15 @@ def _rref(rows: List[Dict[int, Fraction]]) -> Tuple[List[Dict[int, Fraction]], L
     (ints or Fractions).
 
     Returns the nonzero rows, scaled to pivot 1 and ordered by pivot column,
-    with their pivot columns.  The input rows are consumed.  The elimination
-    is fraction-free: each row is scaled in place to a primitive integer row
-    (``_make_integer``) and combined with integer multiples of pivot rows
-    (``_eliminate``); rows are divided by their pivots only when they are
-    emitted.  Each row is first reduced at its leading column only, shortest
-    rows first to limit fill-in; back substitution then clears the other
-    pivot columns.  The reduced echelon form of a row space is unique, so
-    the result does not depend on this order or on the row scaling.
+    with their pivot columns; an integral value is an ``int``.  The input
+    rows are consumed.  The elimination is fraction-free: each row is scaled
+    in place to a primitive integer row (``_make_integer``) and combined with
+    integer multiples of pivot rows (``_eliminate``); rows are divided by
+    their pivots only when they are emitted.  Each row is first reduced at
+    its leading column only, shortest rows first to limit fill-in; back
+    substitution then clears the other pivot columns.  The reduced echelon
+    form of a row space is unique, so the result does not depend on this
+    order or on the row scaling.
     """
     by_pivot: Dict[int, Dict[int, int]] = {}
     for row in sorted(filter(None, rows), key=len):
@@ -180,24 +192,13 @@ def _divide_content(row: Dict[int, int]):
             row[j] = v // g
 
 
-# shared because Fractions are immutable: a dense result holds one object per
-# zero entry, not one zero each
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
 def _divide(row: Dict[int, int], p: int):
-    """Divide an integer row by its entry at the pivot p in place, as
-    Fractions."""
+    """Divide an integer row by its entry at the pivot p in place, keeping
+    an ``int`` wherever the quotient is exact."""
     pv = row[p]
-    if len(row) == 1:
-        for j in row:
-            row[j] = _ONE
-    elif pv == 1:
+    if pv != 1:
         for j, v in row.items():
-            row[j] = Fraction(v)
-    else:
-        for j, v in row.items():
-            row[j] = Fraction(v, pv)
+            row[j] = Fraction(v, pv) if v % pv else v // pv
 
 
 def _subtract(row: Dict[int, Fraction], f: Fraction, other: Dict[int, Fraction]):
@@ -211,9 +212,12 @@ def _subtract(row: Dict[int, Fraction], f: Fraction, other: Dict[int, Fraction])
 
 
 def rref(matrix: RationalMatrix) -> Tuple[RationalMatrix, List[int]]:
-    rows, pivots = _rref(matrix.sparse_rows())
-    out = RationalMatrix(matrix.rows, matrix.cols)
-    out.entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
+    """The reduced row echelon form of ``matrix`` and its pivot columns; the
+    first ``len(pivots)`` lines of the result are the reduced rows, the
+    others are empty.  ``matrix`` is not changed."""
+    rows, pivots = _rref([dict(line) for line in matrix.lines if line])
+    out = RationalMatrix(0, matrix.cols)  # the lines below are its only row dicts
+    out.rows, out.lines = matrix.rows, rows + [{} for _ in range(matrix.rows - len(rows))]
     return out, pivots
 
 
@@ -224,13 +228,14 @@ def rref_solve(
 
     Returns ``(particular, kernel)``; ``particular`` is None when b is
     outside the column space.  The particular solution sets all free
-    variables to zero, which makes witnesses canonical.
+    variables to zero, which makes witnesses canonical.  ``matrix`` is not
+    changed.
     """
     b = [_as_rational(v) for v in b]
     if len(b) != matrix.rows:
         raise DimensionMismatch("right-hand side has wrong length")
     n = matrix.cols
-    aug = matrix.sparse_rows()
+    aug = [dict(line) for line in matrix.lines]
     for row, v in zip(aug, b):
         if v:
             row[n] = v
@@ -238,12 +243,8 @@ def rref_solve(
 
     particular: Optional[List[Fraction]] = None
     if n not in pivots:  # else a pivot in the augmented column: inconsistent
-        particular = [Fraction(0)] * n
-        for row, c in zip(rows, pivots):
-            particular[c] = row.get(n, _ZERO)
-
-    kernel = [[vec.get(j, _ZERO) for j in range(n)] for vec in kernel_rows(rows, pivots, n)]
-    return particular, kernel
+        particular = _dense({c: row[n] for row, c in zip(rows, pivots) if n in row}, n)
+    return particular, [_dense(vec, n) for vec in kernel_rows(rows, pivots, n)]
 
 
 def kernel_rows(
@@ -252,7 +253,7 @@ def kernel_rows(
     """A sparse kernel basis of the reduced echelon rows over the first n
     columns: free column f gives ``{f: 1, pivot(r): -r[f]}``, in column order."""
     pivot_set = set(pivots)
-    kernel = {f: {f: Fraction(1)} for f in range(n) if f not in pivot_set}
+    kernel = {f: {f: 1} for f in range(n) if f not in pivot_set}
     for row, p in zip(rows, pivots):
         for f, v in row.items():
             if f in kernel:
@@ -261,12 +262,11 @@ def kernel_rows(
 
 
 def row_space_basis(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Independent spanning rows in reduced echelon form, with their pivots."""
-    if not rows:
-        return [], []
-    n = len(rows[0])
-    reduced, pivots = _rref([{j: _as_rational(v) for j, v in enumerate(r) if v} for r in rows])
-    return [[row.get(j, _ZERO) for j in range(n)] for row in reduced], pivots
+    """Independent spanning rows in reduced echelon form, with their pivots;
+    ragged rows raise ``DimensionMismatch``."""
+    matrix = RationalMatrix.from_rows(rows)
+    reduced, pivots = _rref(matrix.lines)
+    return [_dense(row, matrix.cols) for row in reduced], pivots
 
 
 def reduce_mod_rows(

@@ -281,11 +281,11 @@ def d_matrix_by_derivation(algebra, n):
 
     src = algebra.monomial_basis(n)
     index = {m: i for i, m in enumerate(algebra.monomial_basis(n + 1))}
-    matrix = RationalMatrix(len(index), len(src))
+    entries = {}
     for j, m in enumerate(src):
         for mono, c in algebra.d(algebra.element({m: 1})).terms.items():
-            matrix.entries[index[mono], j] = c
-    return matrix
+            entries[index[mono], j] = c
+    return RationalMatrix(len(index), len(src), entries)
 
 
 def _dense_block(algebra, n, allowed):

@@ -48,12 +48,10 @@ def _random_minimal_algebra(draw, max_gens=4, max_degree=7):
         cols = {m: k for k, m in enumerate(basis)}
         from dgalgebra.linalg import RationalMatrix
 
-        restricted_matrix = RationalMatrix(matrix.rows, len(candidates))
-        for r in range(matrix.rows):
-            for k, m in enumerate(candidates):
-                v = matrix.get(r, cols[m])
-                if v:
-                    restricted_matrix.entries[(r, k)] = v
+        restricted = {
+            (r, k): matrix.get(r, cols[m]) for r in range(matrix.rows) for k, m in enumerate(candidates)
+        }
+        restricted_matrix = RationalMatrix(matrix.rows, len(candidates), restricted)
         _, kernel = rref_solve(restricted_matrix, [0] * restricted_matrix.rows)
         if not kernel:
             continue

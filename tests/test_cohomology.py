@@ -127,8 +127,22 @@ def test_a_fresh_degree_costs_two_eliminations_and_no_reduction(monkeypatch):
 def test_differential_matrix_returns_a_fresh_copy(two_stage):
     first = differential_matrix(two_stage, 3)
     assert first.entries == {(0, 0): 1}
-    first.entries[0, 0] = Fraction(99)
+    first.lines[0][0] = Fraction(99)
     assert differential_matrix(two_stage, 3).entries == {(0, 0): 1}
+
+
+def test_cached_echelon_rows_hold_ints_for_integral_entries():
+    """B^4 is spanned by d(y) = 2ab + 3a^2 + 4b^2, whose reduced row over
+    the basis (ab, a^2, b^2) is (1, 3/2, 2): an integral entry only after
+    division by the pivot."""
+    A = parse_presentation(
+        "algebra ints\ngenerator a : 2\ngenerator b : 2\ngenerator y : 3\nd y = 2*a*b + 3*a^2 + 4*b^2\n"
+    ).presentation
+    h = cohomology_at_degree(A, 4)
+    assert h._boundaries == ([{0: 1, 1: Fraction(3, 2), 2: 2}], [0])
+    for rows, _ in (h._boundaries, h._rep_rows):
+        values = [v for row in rows for v in row.values()]
+        assert values and all(type(v) is (int if v.denominator == 1 else Fraction) for v in values)
 
 
 def test_setting_a_differential_clears_derived_caches():

@@ -287,6 +287,7 @@ def test_floats_are_rejected_at_every_scalar_entry_point(ex51):
         lambda: RationalMatrix(1, 1, {(0, 0): 0.1}),
         lambda: RationalMatrix.from_rows([[1, 0.1]]),
         lambda: rref_solve(RationalMatrix.from_rows([[1]]), [0.1]),
+        lambda: RationalMatrix.from_rows([[1]]).mat_vec([0.5]),
         lambda: row_space_basis([[1, 0.5]]),
         lambda: MultiplicativeSystem.make(["a"], [((2,), 0.25)]),
         lambda: MultiplicativeSystem.make(["a"], [((1,), 2)]).satisfied_by([2.0]),

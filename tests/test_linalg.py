@@ -4,10 +4,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgalgebra import (
+    DimensionMismatch,
     MultiplicativeSystem,
     NonRationalRoot,
     RationalMatrix,
@@ -52,6 +53,44 @@ def test_inconsistent_system():
     a = RationalMatrix.from_rows([[1, 1], [1, 1]])
     particular, kernel = rref_solve(a, [1, 2])
     assert particular is None
+
+
+def test_row_space_basis_rejects_ragged_rows():
+    with pytest.raises(DimensionMismatch, match="ragged rows"):
+        row_space_basis([[1], [0, 1]])
+    with pytest.raises(DimensionMismatch, match="ragged rows"):
+        RationalMatrix.from_rows([[1], [0, 1]])
+
+
+def test_matrix_dimensions_are_non_negative_ints():
+    with pytest.raises(DimensionMismatch):
+        RationalMatrix(-1, 2)
+    with pytest.raises(DimensionMismatch):
+        RationalMatrix(2, -1)
+    for bad in (2.0, True, "2", None):
+        with pytest.raises(PreconditionViolated):
+            RationalMatrix(bad, 2)
+        with pytest.raises(PreconditionViolated):
+            RationalMatrix(2, bad)
+    assert RationalMatrix(0, 0).dense_rows() == []
+
+
+def test_entries_is_a_read_only_fraction_view_of_the_lines():
+    matrix = RationalMatrix(2, 3, {(0, 0): 2, (0, 2): 0, (1, 1): Fraction(4, 2), (1, 2): Fraction(1, 3)})
+    assert matrix.lines == [{0: 2}, {1: 2, 2: Fraction(1, 3)}]
+    assert [type(v) for line in matrix.lines for v in line.values()] == [int, int, Fraction]
+    assert matrix.entries == {(0, 0): 2, (1, 1): 2, (1, 2): Fraction(1, 3)}
+    assert all(type(v) is Fraction for v in matrix.entries.values())
+    with pytest.raises(TypeError):
+        matrix.entries[0, 1] = Fraction(5)
+    with pytest.raises(TypeError):
+        del matrix.entries[0, 0]
+    assert RationalMatrix(2, 3, matrix.entries) == matrix
+    reduced, pivots = rref(matrix)
+    assert pivots == [0, 1]
+    assert reduced.lines == [{0: 1}, {1: 1, 2: Fraction(1, 6)}]
+    assert type(reduced.lines[1][1]) is int
+    assert all(type(v) is Fraction for v in reduced.entries.values())
 
 
 small_matrices = st.lists(
@@ -105,13 +144,29 @@ def shaped_systems(draw):
     return rows, n_cols, b, vec
 
 
+def _stores_no_zero(matrix):
+    return len(matrix.lines) == matrix.rows and all(all(line.values()) for line in matrix.lines)
+
+
 @given(shaped_systems())
 @settings(max_examples=300)
+@example(([], 4, [], [Fraction(1)] * 4))
+@example(([[]] * 3, 0, [Fraction(1), 0, 0], []))
+@example(([[Fraction(0)] * 5] * 4, 5, [0] * 4, [Fraction(2)] * 5))
+@example(([[Fraction(0)] * 5] * 4, 5, [0, 0, Fraction(1, 3), 0], [0] * 5))
 def test_elimination_matches_dense_reference_exactly(system):
     rows, n_cols, b, vec = system
     entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
     matrix = RationalMatrix(len(rows), n_cols, entries)
     assert rref_solve(matrix, b) == dense_rref_solve(rows, n_cols, b)
+    assert matrix.dense_rows() == [[Fraction(v) for v in row] for row in rows]
+    transposed = matrix.transpose()
+    assert transposed.dense_rows() == [[row[j] for row in rows] for j in range(n_cols)]
+    assert transposed.transpose() == matrix
+    reduced_matrix, pivots = rref(matrix)
+    assert (reduced_matrix.dense_rows()[: len(pivots)], pivots) == dense_row_space_basis(rows)
+    assert not any(map(any, reduced_matrix.dense_rows()[len(pivots) :]))
+    assert all(map(_stores_no_zero, (matrix, transposed, reduced_matrix)))
 
     basis, pivots = row_space_basis(rows)
     assert (basis, pivots) == dense_row_space_basis(rows)

@@ -180,6 +180,18 @@ def test_the_library_reads_cached_d_matrices_without_copies():
     assert found == []
 
 
+def test_only_linalg_py_touches_matrix_entries():
+    """``RationalMatrix.lines`` is the one matrix store; outside
+    ``linalg.py`` no module reads or writes the ``(i, j)``-keyed
+    ``.entries`` view, which is kept for tests and the benchmark's tracer."""
+    found = [
+        where
+        for where, node in _nodes()
+        if isinstance(node, ast.Attribute) and node.attr == "entries" and not where.startswith("linalg.py:")
+    ]
+    assert found == []
+
+
 def _public_definitions():
     """``(file, name)`` of every public module-level or class-level
     function, method and class."""
